@@ -27,7 +27,9 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Hot-path benchmark snapshot as machine-readable JSON (BENCH_PR10.json;
-# the service-level numbers live separately in loadgen's BENCH_PR6.json).
+# the service-level numbers live separately in loadgen's BENCH_PR6.json):
+# the simulator's hot paths plus the memory-model layers beneath them (TLB
+# and cache tag stores, device set-up, the driver's page map).
 # BENCHTIME=1x gives a fast smoke run (CI); the checked-in file is made with
 # the default 2s x 3 repeats on a quiet machine — benchjson folds the
 # repeats into a best-of-N record per benchmark, which is what keeps a
@@ -38,9 +40,9 @@ bench:
 BENCHTIME ?= 2s
 BENCHCOUNT ?= 3
 BENCHOUT ?= BENCH_PR10.json
-BENCH ?= BenchmarkWarpIssueThroughput|BenchmarkMemInstrThroughput|BenchmarkMemPlanPaths|BenchmarkSimulatorThroughput|BenchmarkFunctionalMemPath|BenchmarkBackingReadUint|BenchmarkCoreParallelLaunch|BenchmarkLaunchAllocs
+BENCH ?= BenchmarkWarpIssueThroughput|BenchmarkMemInstrThroughput|BenchmarkMemPlanPaths|BenchmarkSimulatorThroughput|BenchmarkFunctionalMemPath|BenchmarkBackingReadUint|BenchmarkCoreParallelLaunch|BenchmarkLaunchAllocs|BenchmarkDeviceSetup|BenchmarkTLBAccess|BenchmarkCacheAccess|BenchmarkMappedRange
 bench-json:
-	$(GO) test ./internal/sim -run '^$$' -bench '$(BENCH)' -benchtime $(BENCHTIME) -count $(BENCHCOUNT) -benchmem \
+	$(GO) test ./internal/sim ./internal/memsys ./internal/driver -run '^$$' -bench '$(BENCH)' -benchtime $(BENCHTIME) -count $(BENCHCOUNT) -benchmem \
 		| $(GO) run ./cmd/benchjson -o $(BENCHOUT)
 
 # Fail if the serial hot paths — warp issue, cycle-level and functional

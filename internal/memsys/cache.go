@@ -30,22 +30,13 @@ func (s CacheStats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Accesses)
 }
 
-type cacheLine struct {
-	tag     uint64
-	valid   bool
-	lastUse uint64
-}
-
 // Cache is a set-associative LRU cache model. It tracks presence only — data
 // contents live in the backing store — which is the standard structure for
-// timing simulation.
+// timing simulation. Its Stats field, promoted from the tag store it shares
+// with TLB, counts accesses, hits and misses.
 type Cache struct {
-	cfg      CacheConfig
-	sets     [][]cacheLine
-	numSets  uint64
-	lineBits uint
-	useTick  uint64
-	Stats    CacheStats
+	cfg CacheConfig
+	tagStore
 }
 
 // Validate reports whether the geometry describes a constructible cache.
@@ -71,15 +62,7 @@ func NewCache(cfg CacheConfig) (*Cache, error) {
 		return nil, err
 	}
 	numSets := cfg.SizeBytes / cfg.LineBytes / cfg.Ways
-	c := &Cache{cfg: cfg, numSets: uint64(numSets)}
-	c.sets = make([][]cacheLine, numSets)
-	for i := range c.sets {
-		c.sets[i] = make([]cacheLine, cfg.Ways)
-	}
-	for b := cfg.LineBytes; b > 1; b >>= 1 {
-		c.lineBits++
-	}
-	return c, nil
+	return &Cache{cfg: cfg, tagStore: newTagStore(numSets, cfg.Ways, cfg.LineBytes)}, nil
 }
 
 // MustCache is NewCache for the built-in simulator presets, whose geometries
@@ -101,53 +84,14 @@ func (c *Cache) LineAddr(addr uint64) uint64 { return addr &^ uint64(c.cfg.LineB
 // Access looks up addr and updates LRU state, allocating the line on a miss
 // (allocate-on-miss for both reads and writes). It reports whether the
 // access hit.
-func (c *Cache) Access(addr uint64) bool {
-	c.useTick++
-	c.Stats.Accesses++
-	tag := addr >> c.lineBits
-	set := c.sets[tag%c.numSets]
-	victim := 0
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			set[i].lastUse = c.useTick
-			c.Stats.Hits++
-			return true
-		}
-		if !set[i].valid {
-			victim = i
-		} else if set[victim].valid && set[i].lastUse < set[victim].lastUse {
-			victim = i
-		}
-	}
-	c.Stats.Misses++
-	set[victim] = cacheLine{tag: tag, valid: true, lastUse: c.useTick}
-	return false
-}
+func (c *Cache) Access(addr uint64) bool { return c.access(addr) }
 
 // Probe reports whether addr is resident without changing any state: no
-// LRU update, no allocation, no statistics. It is the read-only half of the
-// probe/apply split (Access is the apply half) the simulator's two-phase
-// scheduler relies on: a parallel planning phase may Probe shared caches
-// freely, while mutation is reserved for the serial commit phase.
-func (c *Cache) Probe(addr uint64) bool {
-	tag := addr >> c.lineBits
-	set := c.sets[tag%c.numSets]
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			return true
-		}
-	}
-	return false
-}
+// LRU update, no allocation, no statistics.
+func (c *Cache) Probe(addr uint64) bool { return c.probe(addr) }
 
 // Flush invalidates all lines (kernel termination / context switch).
-func (c *Cache) Flush() {
-	for _, set := range c.sets {
-		for i := range set {
-			set[i] = cacheLine{}
-		}
-	}
-}
+func (c *Cache) Flush() { c.flush() }
 
 // HitLatency returns the configured hit latency in cycles.
 func (c *Cache) HitLatency() int { return c.cfg.HitLatency }

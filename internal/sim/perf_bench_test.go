@@ -257,3 +257,17 @@ func BenchmarkCoreParallelLaunch(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkDeviceSetup measures what every fresh launch context pays before
+// its first instruction: one op is NewDevice, the default 8 MB heap, and
+// New with the Nvidia preset (cache and TLB tag stores for every core plus
+// the shared L2). Short launches, such as the fuzzer's thousands of tiny
+// kernels, are dominated by it.
+func BenchmarkDeviceSetup(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		dev := driver.NewDevice(int64(i))
+		dev.Heap()
+		New(NvidiaConfig(), dev)
+	}
+}
