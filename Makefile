@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race bench bench-json bench-guard experiments experiments-smoke soak-smoke resume-smoke service-smoke fuzz-smoke fleet-smoke examples attackdemo vet fmt clean
+.PHONY: all build test test-race bench bench-json bench-guard experiments experiments-golden experiments-check experiments-smoke soak-smoke resume-smoke service-smoke fuzz-smoke fleet-smoke examples attackdemo vet fmt clean
 
 all: build test
 
@@ -40,7 +40,7 @@ bench:
 BENCHTIME ?= 2s
 BENCHCOUNT ?= 3
 BENCHOUT ?= BENCH_PR10.json
-BENCH ?= BenchmarkWarpIssueThroughput|BenchmarkMemInstrThroughput|BenchmarkMemPlanPaths|BenchmarkSimulatorThroughput|BenchmarkFunctionalMemPath|BenchmarkBackingReadUint|BenchmarkCoreParallelLaunch|BenchmarkLaunchAllocs|BenchmarkDeviceSetup|BenchmarkTLBAccess|BenchmarkCacheAccess|BenchmarkMappedRange
+BENCH ?= BenchmarkWarpIssueThroughput|BenchmarkMemInstrThroughput|BenchmarkMemPlanPaths|BenchmarkSimulatorThroughput|BenchmarkFunctionalMemPath|BenchmarkBackingReadUint|BenchmarkLaunchAllocs|BenchmarkDeviceSetup|BenchmarkTLBAccess|BenchmarkCacheAccess|BenchmarkMappedRange
 bench-json:
 	$(GO) test ./internal/sim ./internal/memsys ./internal/driver -run '^$$' -bench '$(BENCH)' -benchtime $(BENCHTIME) -count $(BENCHCOUNT) -benchmem \
 		| $(GO) run ./cmd/benchjson -o $(BENCHOUT)
@@ -58,6 +58,16 @@ bench-guard:
 # Regenerate every table and figure at full fidelity.
 experiments:
 	$(GO) run ./cmd/experiments -run all
+
+# The whole sweep's stdout is archived in experiments_output.txt.
+# experiments-golden rewrites it deliberately; experiments-check diffs a
+# fresh sweep against it and fails on any difference (CI's sweep-golden job).
+experiments-golden:
+	$(GO) run ./cmd/experiments -run all >experiments_output.txt
+
+experiments-check:
+	@out=$$(mktemp) && $(GO) run ./cmd/experiments -run all >$$out && \
+		diff -u experiments_output.txt $$out; rc=$$?; rm -f $$out; exit $$rc
 
 # One fast experiment through the parallel engine under the race detector —
 # the CI smoke test for the pool + memo cache.

@@ -77,17 +77,16 @@ type expTiming struct {
 // runReport is the full machine-readable -json payload: per-experiment
 // timings plus the engine's job/cache accounting, for the bench trajectory.
 type runReport struct {
-	Parallel     int                           `json:"parallel"`
-	CoreParallel int                           `json:"core_parallel"`
-	Experiments  []expTiming                   `json:"experiments"`
-	Engine       experiments.EngineStats       `json:"engine"`
-	Store        *resultstore.Stats            `json:"store,omitempty"`
-	Fleet        *fleet.Stats                  `json:"fleet,omitempty"`
-	Quarantined  []experiments.QuarantineEntry `json:"quarantined,omitempty"`
-	Interrupted  bool                          `json:"interrupted,omitempty"`
-	TotalWallMS  float64                       `json:"total_wall_ms"`
-	Speedup      float64                       `json:"speedup"`
-	Failed       int                           `json:"failed"`
+	Parallel    int                           `json:"parallel"`
+	Experiments []expTiming                   `json:"experiments"`
+	Engine      experiments.EngineStats       `json:"engine"`
+	Store       *resultstore.Stats            `json:"store,omitempty"`
+	Fleet       *fleet.Stats                  `json:"fleet,omitempty"`
+	Quarantined []experiments.QuarantineEntry `json:"quarantined,omitempty"`
+	Interrupted bool                          `json:"interrupted,omitempty"`
+	TotalWallMS float64                       `json:"total_wall_ms"`
+	Speedup     float64                       `json:"speedup"`
+	Failed      int                           `json:"failed"`
 }
 
 func main() { os.Exit(realMain()) }
@@ -115,7 +114,6 @@ func realMain() int {
 	run := flag.String("run", "all", "experiment id to run, or 'all'")
 	csv := flag.Bool("csv", false, "emit tables as CSV instead of aligned text")
 	parallel := flag.Int("parallel", 0, "engine worker-pool width; 0 = one per CPU, 1 = serial")
-	coreParallel := flag.Int("core-parallel", 0, "per-simulation core-stepping width; capped so parallel × core-parallel <= CPU count (0 = auto, 1 = serial)")
 	jsonOut := flag.Bool("json", false, "emit a machine-readable timing summary (JSON) on stdout; tables move to stderr")
 	journalPath := flag.String("journal", "", "append every completed run to this write-ahead journal (JSON lines, fsync'd)")
 	journalMaxBytes := flag.Int64("journal-max-bytes", 64<<20, "compact the journal (last record per key, atomic rewrite) when it grows past this many bytes; 0 = unbounded. Keeps soak-length loops from growing the journal with wall-clock time")
@@ -178,7 +176,6 @@ func realMain() int {
 	}
 
 	experiments.SetParallelism(*parallel)
-	experiments.SetCoreParallelism(*coreParallel)
 	experiments.SetFuzzOptions(*seed, *fuzzCount, *fuzzShrink, *fuzzCorpus)
 
 	ctx, cancel := context.WithCancelCause(context.Background())
@@ -329,15 +326,14 @@ func realMain() int {
 
 	if *jsonOut {
 		rep := runReport{
-			Parallel:     experiments.Parallelism(),
-			CoreParallel: experiments.CoreParallelism(),
-			Experiments:  timings,
-			Engine:       es,
-			Quarantined:  quarantined,
-			Interrupted:  interrupted,
-			TotalWallMS:  float64(wall.Microseconds()) / 1000,
-			Speedup:      speedup,
-			Failed:       len(failures),
+			Parallel:    experiments.Parallelism(),
+			Experiments: timings,
+			Engine:      es,
+			Quarantined: quarantined,
+			Interrupted: interrupted,
+			TotalWallMS: float64(wall.Microseconds()) / 1000,
+			Speedup:     speedup,
+			Failed:      len(failures),
 		}
 		if store != nil {
 			ss := store.Stats()
@@ -355,8 +351,8 @@ func realMain() int {
 		}
 	} else {
 		fmt.Fprintf(os.Stderr,
-			"engine: %d jobs (%d unique runs, %d store hits, %d cache hits, %d bespoke, %d replayed), parallel=%d, core-parallel=%d, wall %v, serial-equivalent %v, speedup %.2fx\n",
-			es.Jobs, es.UniqueRuns, es.StoreHits, es.CacheHits, es.Bespoke, es.Replayed, experiments.Parallelism(), experiments.CoreParallelism(),
+			"engine: %d jobs (%d unique runs, %d store hits, %d cache hits, %d bespoke, %d replayed), parallel=%d, wall %v, serial-equivalent %v, speedup %.2fx\n",
+			es.Jobs, es.UniqueRuns, es.StoreHits, es.CacheHits, es.Bespoke, es.Replayed, experiments.Parallelism(),
 			wall.Round(time.Millisecond), time.Duration(es.SerialSeconds*float64(time.Second)).Round(time.Millisecond),
 			speedup)
 		fmt.Fprintf(os.Stderr, "experiments: %d passed, %d failed\n", len(timings)-len(failures), len(failures))

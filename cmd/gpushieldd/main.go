@@ -35,7 +35,6 @@ func main() {
 	addr := flag.String("addr", ":8473", "listen address")
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "graceful drain budget after the first signal")
 	flag.IntVar(&cfg.Devices, "devices", cfg.Devices, "simulated devices in the pool")
-	flag.IntVar(&cfg.CoreParallel, "core-parallel", cfg.CoreParallel, "per-launch core-stepping width")
 	flag.IntVar(&cfg.QueueDepth, "queue-depth", cfg.QueueDepth, "per-device launch queue bound (shared, 503 past it)")
 	flag.IntVar(&cfg.TenantQueueDepth, "tenant-queue-depth", cfg.TenantQueueDepth, "per-tenant launch queue bound (429 past it)")
 	flag.IntVar(&cfg.MaxSessions, "max-sessions", cfg.MaxSessions, "live session bound across the service")

@@ -19,7 +19,6 @@ import (
 	"gpushield/internal/core"
 	"gpushield/internal/driver"
 	"gpushield/internal/lifecycle"
-	"gpushield/internal/pool"
 	"gpushield/internal/sim"
 	"gpushield/internal/workloads"
 )
@@ -35,7 +34,6 @@ func main() {
 	l1lat := flag.Int("l1lat", 1, "L1 RCache latency (cycles)")
 	l2lat := flag.Int("l2lat", 3, "L2 RCache latency (cycles)")
 	pages := flag.Bool("pages", false, "track 4KB pages touched per buffer")
-	coreParallel := flag.Int("core-parallel", 1, "core-stepping worker threads; 0 = one per CPU, 1 = serial (results are identical at every width)")
 	disasm := flag.Bool("disasm", false, "print the kernel disassembly and exit")
 	flag.Parse()
 
@@ -106,11 +104,6 @@ func main() {
 		bcu := core.BCUConfig{L1Entries: *l1, L2Entries: *l2, L1Latency: *l1lat, L2Latency: *l2lat}
 		cfg = cfg.WithShield(bcu)
 	}
-
-	if *coreParallel == 0 {
-		*coreParallel = pool.DefaultWorkers()
-	}
-	cfg.CoreParallel = *coreParallel
 
 	l, err := dev.PrepareLaunch(spec.Kernel, spec.Grid, spec.Block, spec.Args, dmode, an)
 	if err != nil {

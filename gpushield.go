@@ -27,7 +27,6 @@ import (
 	"gpushield/internal/compiler"
 	"gpushield/internal/core"
 	"gpushield/internal/driver"
-	"gpushield/internal/pool"
 	"gpushield/internal/sim"
 )
 
@@ -71,15 +70,14 @@ type Report = sim.LaunchStats
 type Option func(*config)
 
 type config struct {
-	arch         Arch
-	mode         Protection
-	bcu          BCUConfig
-	seed         int64
-	fault        bool
-	pages        bool
-	fineHeap     bool
-	maxCycles    uint64
-	coreParallel int
+	arch      Arch
+	mode      Protection
+	bcu       BCUConfig
+	seed      int64
+	fault     bool
+	pages     bool
+	fineHeap  bool
+	maxCycles uint64
 }
 
 // WithArch selects the simulated architecture (default Nvidia).
@@ -113,20 +111,13 @@ func WithFineGrainedHeap() Option { return func(c *config) { c.fineHeap = true }
 // non-terminating kernels.
 func WithMaxCycles(n uint64) Option { return func(c *config) { c.maxCycles = n } }
 
-// WithCoreParallelism shards the simulated cores of each launch across n OS
-// threads under the scheduler's two-phase deterministic protocol: results —
-// every Report byte — are identical at every n, only wall-clock time changes.
-// n <= 0 asks for the machine's worker budget (one worker per available CPU);
-// 1 forces the serial scheduler. The default (no option) is serial unless the
-// GPUSHIELD_CORE_PARALLEL environment variable requests a width.
-func WithCoreParallelism(n int) Option {
-	return func(c *config) {
-		if n <= 0 {
-			n = pool.DefaultWorkers()
-		}
-		c.coreParallel = n
-	}
-}
+// WithCoreParallelism has no effect: every launch steps its simulated cores
+// serially. It is kept so existing callers still compile.
+//
+// Deprecated: intra-launch parallel core stepping was removed because it
+// only ever made launches slower. Run independent Systems concurrently
+// instead.
+func WithCoreParallelism(int) Option { return func(*config) {} }
 
 // WithPerThreadChecks disables warp-level address-range gathering so the
 // BCU checks every lane individually — an ablation knob, not a deployment
@@ -162,7 +153,6 @@ func NewSystem(opts ...Option) *System {
 		simCfg = simCfg.WithShield(c.bcu)
 	}
 	simCfg.MaxCycles = c.maxCycles
-	simCfg.CoreParallel = c.coreParallel
 	gpu := sim.New(simCfg, dev)
 	gpu.TrackPages(c.pages)
 	return &System{cfg: c, dev: dev, gpu: gpu}

@@ -7,9 +7,10 @@ import "sync/atomic"
 // mapped pages is always exactly one span and "is [lo, hi] mapped" is a
 // single containment test against the span holding lo.
 //
-// Lookups may run concurrently (the simulator's parallel planning phase
-// checks pages from several cores at once), so the last-hit hint is an
-// atomic; inserts happen only while no kernel runs.
+// A lookup is logically a read: Device.Mapped and Device.MappedRange change
+// nothing a caller can observe. The last-hit hint is the one field a lookup
+// writes, so it is an atomic, which keeps concurrent lookups on one device
+// race-free like any other read. Inserts happen only while no kernel runs.
 type pageMap struct {
 	spans []pageSpan
 	hint  atomic.Int32 // index of the span that answered the last lookup

@@ -143,8 +143,8 @@ func TestPageMapMergesAdjacent(t *testing.T) {
 }
 
 // TestPageMapConcurrentLookups queries one device from several goroutines
-// at once, as the parallel core-stepping planner does, each walking its own
-// buffer so the shared last-hit hint keeps changing hands. Run under -race.
+// at once, each walking its own buffer so the shared last-hit hint keeps
+// changing hands. Run under -race.
 func TestPageMapConcurrentLookups(t *testing.T) {
 	dev := NewDevice(1)
 	var bufs []*Buffer

@@ -111,13 +111,12 @@ const (
 // before its result is reported, and dropped from the memo cache if it was
 // canceled so a later attempt under a live context can re-execute it.
 type Engine struct {
-	mu           sync.Mutex
-	workers      int
-	coreParallel int // requested core-stepping width; 0 = auto
-	memo         map[memoKey]*memoEntry
-	journal      *Journal
-	store        *resultstore.Store // durable content-addressed layer under the memo cache
-	remote       RemoteFunc         // fleet coordinator hook; nil = compute locally
+	mu      sync.Mutex
+	workers int
+	memo    map[memoKey]*memoEntry
+	journal *Journal
+	store   *resultstore.Store // durable content-addressed layer under the memo cache
+	remote  RemoteFunc         // fleet coordinator hook; nil = compute locally
 
 	retries int
 	backoff time.Duration
@@ -156,37 +155,6 @@ func (e *Engine) Workers() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.workers
-}
-
-// SetCoreParallelism records the requested per-simulation core-stepping
-// width (0 = auto, 1 = serial). The effective width is resolved against the
-// shared machine budget by CoreParallelism.
-func (e *Engine) SetCoreParallelism(n int) {
-	e.mu.Lock()
-	e.coreParallel = n
-	e.mu.Unlock()
-}
-
-// CoreParallelism resolves the core-stepping width each simulation runs at.
-// The engine's job workers and each simulation's core workers share one
-// machine budget: Workers() × width never exceeds pool.DefaultWorkers(), so
-// a wide sweep cannot oversubscribe the host by also fanning every GPU out.
-// An explicit request below the budget is honored; 0 (auto) and requests
-// above the budget resolve to the budget. With the default full-width job
-// pool the budget is 1 — per-run core parallelism only kicks in when the
-// job pool is narrowed (e.g. a single long launch on a -parallel 1 sweep).
-func (e *Engine) CoreParallelism() int {
-	e.mu.Lock()
-	req, workers := e.coreParallel, e.workers
-	e.mu.Unlock()
-	budget := pool.DefaultWorkers() / workers
-	if budget < 1 {
-		budget = 1
-	}
-	if req <= 0 || req > budget {
-		return budget
-	}
-	return req
 }
 
 // SetJournal attaches (or detaches, with nil) the write-ahead journal.
@@ -337,7 +305,6 @@ func (e *Engine) computeWithRetry(ctx context.Context, b workloads.Benchmark, o 
 	e.mu.Lock()
 	retries, backoff := e.retries, e.backoff
 	e.mu.Unlock()
-	o.coreParallel = e.CoreParallelism()
 
 	var st *sim.LaunchStats
 	var err error
@@ -549,14 +516,6 @@ func SetParallelism(n int) { defaultEngine.SetWorkers(n) }
 
 // Parallelism reports the default engine's pool width.
 func Parallelism() int { return defaultEngine.Workers() }
-
-// SetCoreParallelism records the requested per-simulation core-stepping
-// width on the default engine; cmd/experiments wires its -core-parallel
-// flag here.
-func SetCoreParallelism(n int) { defaultEngine.SetCoreParallelism(n) }
-
-// CoreParallelism reports the default engine's resolved core-stepping width.
-func CoreParallelism() int { return defaultEngine.CoreParallelism() }
 
 // SetJournal attaches the write-ahead run journal to the default engine;
 // cmd/experiments wires its -journal flag here.

@@ -40,13 +40,12 @@ func SetFuzzOptions(seed int64, count, shrinkBudget int, corpusDir string) {
 // OOB faults across five pattern classes, checks the static analyzer, the
 // runtime BCU (both shield modes), and generator ground truth against each
 // other, and shrinks any disagreement into a reproducer. The report is
-// byte-identical for a given seed at any -parallel / -core-parallel width.
+// byte-identical for a given seed at any -parallel width.
 // Any disagreement fails the experiment (non-zero exit), so running this
 // under CI is a soundness gate, not just a statistic.
 func runFuzz(ctx context.Context) (*Result, error) {
 	opts := fuzzOpts
 	opts.Parallel = Parallelism()
-	opts.CoreParallel = CoreParallelism()
 	if Quick && opts.Count > 100 {
 		opts.Count = 100
 	}

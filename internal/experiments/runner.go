@@ -37,12 +37,6 @@ type RunOpts struct {
 	// nil means "never set" and selects DefaultSeed; an explicit zero is a
 	// legal, distinct seed. Build one inline with FixedSeed.
 	Seed *int64
-
-	// coreParallel is the resolved core-stepping width the engine stamps on
-	// the run before execution (Engine.CoreParallelism). It changes only
-	// wall-clock time, never results, so it is deliberately absent from the
-	// memo key: a cached run serves requests at every width.
-	coreParallel int
 }
 
 // FixedSeed returns a RunOpts.Seed pinning the driver seed to v (zero
@@ -75,12 +69,6 @@ func (o RunOpts) config(api string) sim.Config {
 			bcu = core.DefaultBCUConfig()
 		}
 		cfg = cfg.WithShield(bcu)
-	}
-	// Leave CoreParallel zero unless the engine resolved a parallel width, so
-	// the GPUSHIELD_CORE_PARALLEL environment override still reaches runs
-	// that were not stamped (golden tests exercising the width matrix).
-	if o.coreParallel > 1 {
-		cfg.CoreParallel = o.coreParallel
 	}
 	return cfg
 }

@@ -23,7 +23,7 @@ import (
 // per-mode violation sets the hardware must produce. A reproducer for a
 // live bug fails replay until the bug is fixed; once fixed (or for the seed
 // entries capturing already-fixed bugs) it becomes a permanent regression
-// guard, replayed by `go test` at several core-parallel widths.
+// guard, replayed by `go test`.
 
 // CorpusBuf is one device buffer image.
 type CorpusBuf struct {
@@ -236,38 +236,30 @@ func sortSitePCs(s []SitePC) {
 	})
 }
 
-// ReplayResult carries the stats of a replayed entry for cross-width
-// determinism comparison.
-type ReplayResult struct {
-	Shield []*sim.LaunchStats
-	Static []*sim.LaunchStats
-}
-
-// Replay runs one corpus entry at the given core-parallel width and checks
-// every expectation. The returned stats are byte-comparable across widths.
-func Replay(e *CorpusEntry, coreParallel int) (*ReplayResult, error) {
+// Replay runs one corpus entry and checks every expectation.
+func Replay(e *CorpusEntry) error {
 	if e.ValidateErr != "" {
 		want, ok := sentinels[e.ValidateErr]
 		if !ok {
-			return nil, fmt.Errorf("%s: unknown sentinel %q", e.Name, e.ValidateErr)
+			return fmt.Errorf("%s: unknown sentinel %q", e.Name, e.ValidateErr)
 		}
 		if len(e.Launches) != 1 {
-			return nil, fmt.Errorf("%s: validate entry wants exactly one kernel", e.Name)
+			return fmt.Errorf("%s: validate entry wants exactly one kernel", e.Name)
 		}
 		// Plain unmarshal, not DecodeJSON: the kernel must decode but then
 		// fail validation with the recorded sentinel.
 		var k kernel.Kernel
 		if err := json.Unmarshal(e.Launches[0].Kernel, &k); err != nil {
-			return nil, fmt.Errorf("%s: kernel does not decode: %w", e.Name, err)
+			return fmt.Errorf("%s: kernel does not decode: %w", e.Name, err)
 		}
 		err := k.Validate()
 		if err == nil {
-			return nil, fmt.Errorf("%s: invalid kernel accepted by Validate", e.Name)
+			return fmt.Errorf("%s: invalid kernel accepted by Validate", e.Name)
 		}
 		if !errors.Is(err, want) {
-			return nil, fmt.Errorf("%s: Validate returned %v, want sentinel %s", e.Name, err, e.ValidateErr)
+			return fmt.Errorf("%s: Validate returned %v, want sentinel %s", e.Name, err, e.ValidateErr)
 		}
-		return &ReplayResult{}, nil
+		return nil
 	}
 
 	kernels := make([]*kernel.Kernel, len(e.Launches))
@@ -276,7 +268,7 @@ func Replay(e *CorpusEntry, coreParallel int) (*ReplayResult, error) {
 	for li, cl := range e.Launches {
 		k, err := kernel.DecodeJSON(cl.Kernel)
 		if err != nil {
-			return nil, fmt.Errorf("%s launch %d: %w", e.Name, li, err)
+			return fmt.Errorf("%s launch %d: %w", e.Name, li, err)
 		}
 		kernels[li] = k
 		info := compiler.LaunchInfo{
@@ -297,43 +289,35 @@ func Replay(e *CorpusEntry, coreParallel int) (*ReplayResult, error) {
 		infos[li] = info
 		an, err := compiler.Analyze(k, info)
 		if err != nil {
-			return nil, fmt.Errorf("%s launch %d: analyze: %w", e.Name, li, err)
+			return fmt.Errorf("%s launch %d: analyze: %w", e.Name, li, err)
 		}
 		analyses[li] = an
 	}
 
 	for _, instr := range e.Expect.NotStaticSafe {
 		if analyses[0].StaticSafe[instr] {
-			return nil, fmt.Errorf("%s: instr %d proven StaticSafe, must not be", e.Name, instr)
+			return fmt.Errorf("%s: instr %d proven StaticSafe, must not be", e.Name, instr)
 		}
 	}
 	if e.AnalyzeOnly {
-		return &ReplayResult{}, nil
+		return nil
 	}
 
-	res := &ReplayResult{}
-	var err error
-	if res.Shield, err = replayMode(e, kernels, nil, driver.ModeShield, e.Expect.Shield, coreParallel); err != nil {
-		return nil, err
+	if err := replayMode(e, kernels, nil, driver.ModeShield, e.Expect.Shield); err != nil {
+		return err
 	}
-	if !e.Expect.StaticSkip {
-		if res.Static, err = replayMode(e, kernels, analyses, driver.ModeShieldStatic, e.Expect.Static, coreParallel); err != nil {
-			return nil, err
-		}
+	if e.Expect.StaticSkip {
+		return nil
 	}
-	return res, nil
+	return replayMode(e, kernels, analyses, driver.ModeShieldStatic, e.Expect.Static)
 }
 
-// replayEntrySeed keeps replay devices identical across widths and runs.
+// replayEntrySeed keeps replay devices identical across runs.
 const replayEntrySeed = 0x5EED_C0DE
 
-func replayMode(e *CorpusEntry, kernels []*kernel.Kernel, analyses []*compiler.Analysis, mode driver.Mode, want []SitePC, coreParallel int) ([]*sim.LaunchStats, error) {
+func replayMode(e *CorpusEntry, kernels []*kernel.Kernel, analyses []*compiler.Analysis, mode driver.Mode, want []SitePC) error {
 	cfg := sim.NvidiaConfig().WithShield(core.DefaultBCUConfig())
 	cfg.MaxCycles = 2_000_000
-	if coreParallel <= 0 {
-		coreParallel = 1
-	}
-	cfg.CoreParallel = coreParallel
 	dev := driver.NewDevice(replayEntrySeed)
 	gpu := sim.New(cfg, dev)
 
@@ -346,13 +330,12 @@ func replayMode(e *CorpusEntry, kernels []*kernel.Kernel, analyses []*compiler.A
 				binary.LittleEndian.PutUint64(data[8*j:], uint64(v))
 			}
 			if err := dev.CopyToDevice(bufs[i], 0, data); err != nil {
-				return nil, fmt.Errorf("%s: init %s: %w", e.Name, cb.Name, err)
+				return fmt.Errorf("%s: init %s: %w", e.Name, cb.Name, err)
 			}
 		}
 	}
 
 	var got []SitePC
-	stats := make([]*sim.LaunchStats, len(kernels))
 	for li, k := range kernels {
 		cl := e.Launches[li]
 		args := make([]driver.Arg, len(cl.Args))
@@ -369,16 +352,15 @@ func replayMode(e *CorpusEntry, kernels []*kernel.Kernel, analyses []*compiler.A
 		}
 		l, err := dev.PrepareLaunch(k, cl.Grid, cl.Block, args, mode, an)
 		if err != nil {
-			return nil, fmt.Errorf("%s launch %d (%s): %w", e.Name, li, mode, err)
+			return fmt.Errorf("%s launch %d (%s): %w", e.Name, li, mode, err)
 		}
 		st, err := gpu.Run(l)
 		if err != nil {
-			return nil, fmt.Errorf("%s launch %d (%s): %w", e.Name, li, mode, err)
+			return fmt.Errorf("%s launch %d (%s): %w", e.Name, li, mode, err)
 		}
 		if st.Aborted {
-			return nil, fmt.Errorf("%s launch %d (%s): aborted: %s", e.Name, li, mode, st.AbortMsg)
+			return fmt.Errorf("%s launch %d (%s): aborted: %s", e.Name, li, mode, st.AbortMsg)
 		}
-		stats[li] = st
 		seen := map[int]bool{}
 		for _, v := range st.Violations {
 			if !seen[v.PC] {
@@ -391,12 +373,12 @@ func replayMode(e *CorpusEntry, kernels []*kernel.Kernel, analyses []*compiler.A
 	wantSorted := append([]SitePC(nil), want...)
 	sortSitePCs(wantSorted)
 	if len(got) != len(wantSorted) {
-		return nil, fmt.Errorf("%s (%s): violations at %v, want %v", e.Name, mode, got, wantSorted)
+		return fmt.Errorf("%s (%s): violations at %v, want %v", e.Name, mode, got, wantSorted)
 	}
 	for i := range got {
 		if got[i] != wantSorted[i] {
-			return nil, fmt.Errorf("%s (%s): violations at %v, want %v", e.Name, mode, got, wantSorted)
+			return fmt.Errorf("%s (%s): violations at %v, want %v", e.Name, mode, got, wantSorted)
 		}
 	}
-	return stats, nil
+	return nil
 }

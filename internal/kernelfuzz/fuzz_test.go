@@ -35,24 +35,18 @@ func TestFuzzZeroFindings(t *testing.T) {
 }
 
 // TestFuzzDeterministicAcrossParallelism: the same seed must render the
-// same report bytes at any case-parallel and core-parallel width.
+// same report bytes at any case-parallel width.
 func TestFuzzDeterministicAcrossParallelism(t *testing.T) {
-	base, err := Run(context.Background(), Options{Seed: 3, Count: 42, Parallel: 1, CoreParallel: 1})
+	base, err := Run(context.Background(), Options{Seed: 3, Count: 42, Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, alt := range []Options{
-		{Seed: 3, Count: 42, Parallel: 4, CoreParallel: 1},
-		{Seed: 3, Count: 42, Parallel: 2, CoreParallel: 2},
-	} {
-		rep, err := Run(context.Background(), alt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep.Render() != base.Render() {
-			t.Fatalf("report differs at parallel=%d core-parallel=%d:\n%s\n--- vs ---\n%s",
-				alt.Parallel, alt.CoreParallel, rep.Render(), base.Render())
-		}
+	rep, err := Run(context.Background(), Options{Seed: 3, Count: 42, Parallel: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Render() != base.Render() {
+		t.Fatalf("report differs at parallel=4:\n%s\n--- vs ---\n%s", rep.Render(), base.Render())
 	}
 }
 
@@ -248,7 +242,7 @@ func TestWriteSeedCorpus(t *testing.T) {
 			ValidateErr: mc.sentinel,
 			Launches:    []CorpusLaunch{{Kernel: raw}},
 		}
-		if _, err := Replay(entry, 1); err != nil {
+		if err := Replay(entry); err != nil {
 			t.Fatalf("%s does not replay: %v", mc.name, err)
 		}
 		if err := SaveEntry(corpusDir, entry); err != nil {
@@ -282,7 +276,7 @@ func TestWriteSeedCorpus(t *testing.T) {
 			Launches:    []CorpusLaunch{{Kernel: raw, Grid: 1, Block: 32, Args: []CorpusArg{{Buf: 0}}}},
 			Expect:      CorpusExpect{NotStaticSafe: []int{pc}},
 		}
-		if _, err := Replay(entry, 1); err != nil {
+		if err := Replay(entry); err != nil {
 			t.Fatalf("overflow entry does not replay: %v", err)
 		}
 		if err := SaveEntry(corpusDir, entry); err != nil {
@@ -322,7 +316,7 @@ func TestCorpusEntryRoundTrip(t *testing.T) {
 	if len(loaded) != 1 || loaded[0].Name != "rt" {
 		t.Fatalf("loaded %d entries, want the one named rt", len(loaded))
 	}
-	if _, err := Replay(loaded[0], 1); err != nil {
+	if err := Replay(loaded[0]); err != nil {
 		t.Fatalf("loaded entry does not replay: %v", err)
 	}
 }

@@ -95,14 +95,10 @@ func (f Finding) String() string {
 // oracleOpts are the runtime knobs shared by the fuzzer loop, the shrinker,
 // and corpus replay.
 type oracleOpts struct {
-	CoreParallel int    // simulated-core stepping width (>=1 for determinism)
-	MaxCycles    uint64 // per-launch watchdog
+	MaxCycles uint64 // per-launch watchdog
 }
 
 func (o oracleOpts) normalized() oracleOpts {
-	if o.CoreParallel <= 0 {
-		o.CoreParallel = 1
-	}
 	if o.MaxCycles == 0 {
 		o.MaxCycles = 2_000_000
 	}
@@ -290,7 +286,6 @@ func launchInfo(c *Case, li int) compiler.LaunchInfo {
 func deviceRun(ctx context.Context, c *Case, kernels []*kernel.Kernel, analyses []*compiler.Analysis, mode driver.Mode, opts oracleOpts) ([]*sim.LaunchStats, []*driver.Launch, error) {
 	cfg := sim.NvidiaConfig().WithShield(core.DefaultBCUConfig())
 	cfg.MaxCycles = opts.MaxCycles
-	cfg.CoreParallel = opts.CoreParallel
 	dev := driver.NewDevice(caseSeed(c.Seed, c.Index, uint64(0xD0+mode)))
 	gpu := sim.New(cfg, dev)
 

@@ -16,7 +16,6 @@ type Options struct {
 	Count        int   // number of cases
 	ShrinkBudget int   // max oracle evaluations per shrunk disagreement
 	Parallel     int   // worker goroutines over cases (determinism-safe)
-	CoreParallel int   // simulated-core stepping width inside each case
 	MaxCycles    uint64
 	// CorpusDir, when non-empty, receives a shrunk reproducer JSON for
 	// every disagreeing case.
@@ -71,7 +70,7 @@ type ShrunkCase struct {
 // so the report is independent of worker interleaving.
 func Run(ctx context.Context, opts Options) (*Report, error) {
 	opts = opts.normalized()
-	oOpts := oracleOpts{CoreParallel: opts.CoreParallel, MaxCycles: opts.MaxCycles}
+	oOpts := oracleOpts{MaxCycles: opts.MaxCycles}
 
 	cases := make([]*Case, opts.Count)
 	findings := make([][]Finding, opts.Count)

@@ -86,10 +86,6 @@ func (c *Cache) LineAddr(addr uint64) uint64 { return addr &^ uint64(c.cfg.LineB
 // access hit.
 func (c *Cache) Access(addr uint64) bool { return c.access(addr) }
 
-// Probe reports whether addr is resident without changing any state: no
-// LRU update, no allocation, no statistics.
-func (c *Cache) Probe(addr uint64) bool { return c.probe(addr) }
-
 // Flush invalidates all lines (kernel termination / context switch).
 func (c *Cache) Flush() { c.flush() }
 

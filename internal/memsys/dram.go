@@ -62,36 +62,10 @@ func NewDRAM(cfg DRAMConfig) *DRAM {
 // Config returns the DRAM geometry.
 func (d *DRAM) Config() DRAMConfig { return d.cfg }
 
-// Probe previews the completion time Access(now, addr) would return,
-// without mutating any bank state: no row-buffer update, no occupancy
-// reservation, no statistics. It is the read-only half of the probe/apply
-// split the simulator's two-phase scheduler relies on — a parallel planning
-// phase may Probe shared structures freely, while the mutating Access is
-// reserved for the serial commit phase. Probe's preview is exact only for
-// the next request to the same bank.
-func (d *DRAM) Probe(now uint64, addr uint64) (doneAt uint64) {
-	chunk := addr / uint64(d.cfg.InterleaveBytes)
-	ch := chunk % uint64(d.cfg.Channels)
-	row := addr / uint64(d.cfg.RowBytes)
-	bank := d.banks[ch][row%uint64(d.cfg.BanksPerChannel)] // copy: no mutation
-
-	start := now
-	if bank.busyUntil > start {
-		start = bank.busyUntil
-	}
-	lat := uint64(d.cfg.RowMissCycles)
-	if bank.rowValid && bank.openRow == row {
-		lat = uint64(d.cfg.RowHitCycles)
-	}
-	return start + lat + uint64(d.cfg.BurstCycles)
-}
-
 // Access issues one memory request for addr at time now and returns the
 // cycle at which the data is available. Bank conflicts serialize behind the
 // bank's previous request; row-buffer hits take RowHitCycles, conflicts take
-// RowMissCycles. Access is the apply half of the probe/apply split: it
-// mutates bank state and statistics, so under the two-phase scheduler it
-// must only run in the serial commit phase.
+// RowMissCycles.
 func (d *DRAM) Access(now uint64, addr uint64) (doneAt uint64) {
 	d.Stats.Requests++
 	chunk := addr / uint64(d.cfg.InterleaveBytes)

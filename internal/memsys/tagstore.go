@@ -98,11 +98,5 @@ func (s *tagStore) find(base int, tag uint64) int {
 	return -1
 }
 
-// probe reports whether addr is resident without touching any state.
-func (s *tagStore) probe(addr uint64) bool {
-	tag := addr >> s.shift
-	return s.find(int(s.set(tag))*s.ways, tag) >= 0
-}
-
 // flush invalidates every way. The LRU clock and statistics keep running.
 func (s *tagStore) flush() { clear(s.lastUse) }

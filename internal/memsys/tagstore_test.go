@@ -57,16 +57,6 @@ func (r *refLRU) access(addr uint64) bool {
 	return false
 }
 
-func (r *refLRU) probe(addr uint64) bool {
-	tag := addr >> r.shift
-	for _, l := range r.sets[tag%r.numSets] {
-		if l.valid && l.tag == tag {
-			return true
-		}
-	}
-	return false
-}
-
 func (r *refLRU) flush() {
 	for _, set := range r.sets {
 		for i := range set {
@@ -79,7 +69,6 @@ func (r *refLRU) flush() {
 // drives against the oracle.
 type presence interface {
 	Access(addr uint64) bool
-	Probe(addr uint64) bool
 	Flush()
 }
 
@@ -170,9 +159,9 @@ type tagStream struct {
 
 // TestTagStoreMatchesReferenceLRU drives Cache and TLB and the reference scan
 // with identical address streams and requires identical hit/miss on every
-// access, identical Stats throughout, and identical Probe answers — also
-// right after Flush. It also compares the stores way by way, so the victim
-// is the very way the reference evicts (the last invalid way, else the least
+// access and identical Stats throughout. It also compares the stores way by
+// way — also right after Flush — so residency matches and the victim is the
+// very way the reference evicts (the last invalid way, else the least
 // recently used), not merely an equivalent one.
 func TestTagStoreMatchesReferenceLRU(t *testing.T) {
 	const ops = 20000
@@ -182,10 +171,8 @@ func TestTagStoreMatchesReferenceLRU(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(gi*10 + si + 1)))
 				store, ts := g.newStore()
 				ref := newRefLRU(g.sets, g.ways, g.granule)
-				var recent [64]uint64
 				for i := 0; i < ops; i++ {
 					addr := s.next(rng)
-					recent[i%len(recent)] = addr
 					if got, want := store.Access(addr), ref.access(addr); got != want {
 						t.Fatalf("op %d: Access(%#x) = %v, reference %v", i, addr, got, want)
 					}
@@ -196,17 +183,11 @@ func TestTagStoreMatchesReferenceLRU(t *testing.T) {
 						t.Fatalf("op %d: set %d way %d: tag %#x lastUse %d, reference %+v",
 							i, set, w, ts.tags[set*g.ways+w], ts.lastUse[set*g.ways+w], ref.sets[set][w])
 					}
-					probe := recent[rng.Intn(len(recent))] + uint64(rng.Intn(2))*uint64(g.granule)
-					if got, want := store.Probe(probe), ref.probe(probe); got != want {
-						t.Fatalf("op %d: Probe(%#x) = %v, reference %v", i, probe, got, want)
-					}
 					if rng.Intn(3000) == 0 {
 						store.Flush()
 						ref.flush()
-						for _, a := range recent {
-							if store.Probe(a) || ref.probe(a) {
-								t.Fatalf("op %d: %#x resident after Flush", i, a)
-							}
+						if set, w, ok := sameWays(ts, ref); !ok {
+							t.Fatalf("op %d: set %d way %d still valid after Flush", i, set, w)
 						}
 					}
 				}

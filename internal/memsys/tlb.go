@@ -53,10 +53,6 @@ func MustTLB(cfg TLBConfig) *TLB {
 // Config returns the TLB geometry.
 func (t *TLB) Config() TLBConfig { return t.cfg }
 
-// Probe reports whether the translation for vaddr is resident without
-// changing any state: no LRU update, no allocation, no statistics.
-func (t *TLB) Probe(vaddr uint64) bool { return t.probe(vaddr) }
-
 // Access translates the page containing vaddr, reporting whether the
 // translation hit. Misses allocate the entry.
 func (t *TLB) Access(vaddr uint64) bool { return t.access(vaddr) }

@@ -50,10 +50,6 @@ type Config struct {
 	// placed on the least-loaded device at creation and stay there.
 	Devices int
 
-	// CoreParallel is the per-launch core-stepping width passed to the
-	// simulator (sim.Config.CoreParallel).
-	CoreParallel int
-
 	// QueueDepth bounds the total launches queued per device across all
 	// tenants; beyond it admission sheds with ErrOverloaded (503).
 	QueueDepth int
@@ -105,7 +101,6 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		Devices:          2,
-		CoreParallel:     1,
 		QueueDepth:       64,
 		TenantQueueDepth: 4,
 		MaxSessions:      4096,
@@ -127,9 +122,7 @@ func DefaultConfig() Config {
 // gpuConfig is the simulator configuration every pool device runs:
 // shield-on, per-request watchdog armed by the worker.
 func (c Config) gpuConfig() sim.Config {
-	sc := sim.NvidiaConfig().WithShield(core.DefaultBCUConfig())
-	sc.CoreParallel = c.CoreParallel
-	return sc
+	return sim.NvidiaConfig().WithShield(core.DefaultBCUConfig())
 }
 
 func (c Config) validate() error {

@@ -10,7 +10,6 @@ package sim
 import (
 	"fmt"
 	"os"
-	"strconv"
 
 	"gpushield/internal/core"
 	"gpushield/internal/memsys"
@@ -51,19 +50,6 @@ type Config struct {
 	// behaviour: a kernel that never terminates spins forever).
 	MaxCycles uint64
 
-	// CoreParallel selects how many OS threads step the simulated cores
-	// inside one launch under the two-phase deterministic scheduler (see
-	// DESIGN.md "Parallel core stepping"):
-	//
-	//	 0  — environment default: $GPUSHIELD_CORE_PARALLEL when it parses
-	//	      as an integer > 1, otherwise serial stepping;
-	//	 1  — serial stepping (the reference scheduler);
-	//	>1  — that many workers, capped at the core count.
-	//
-	// Results — every LaunchStats byte — are identical at every width;
-	// only wall-clock time changes. Negative values fail Validate.
-	CoreParallel int
-
 	// NoSuperblocks disables superblock stepping (pre-decoded straight-line
 	// ALU runs executed in one dispatch; see internal/sim/superblock.go),
 	// forcing the reference single-step execution path. Superblock stepping
@@ -102,30 +88,6 @@ func (c Config) resolveNoMemPlans() bool {
 	return c.NoMemPlans || os.Getenv(noMemPlansEnv) != ""
 }
 
-// coreParallelEnv overrides CoreParallel == 0, which is what lets the
-// unmodified golden tests exercise the parallel scheduler in CI.
-const coreParallelEnv = "GPUSHIELD_CORE_PARALLEL"
-
-// resolveCoreParallel maps CoreParallel (plus the environment default) to
-// the effective worker count, >= 1 and capped at the core count.
-func (c Config) resolveCoreParallel() int {
-	n := c.CoreParallel
-	if n == 0 {
-		if s := os.Getenv(coreParallelEnv); s != "" {
-			if v, err := strconv.Atoi(s); err == nil && v > 1 {
-				n = v
-			}
-		}
-	}
-	if n < 1 {
-		n = 1
-	}
-	if n > c.Cores {
-		n = c.Cores
-	}
-	return n
-}
-
 // MaxWarpsPerCore returns the warp-context capacity of one core.
 func (c Config) MaxWarpsPerCore() int { return c.MaxThreadsPerCore / c.WarpWidth }
 
@@ -150,10 +112,6 @@ func (c Config) Validate() error {
 	if c.DRAM.Channels <= 0 || c.DRAM.BanksPerChannel <= 0 ||
 		c.DRAM.RowBytes <= 0 || c.DRAM.InterleaveBytes <= 0 {
 		return fmt.Errorf("%w: %q: DRAM geometry %+v", ErrInvalidConfig, c.Name, c.DRAM)
-	}
-	if c.CoreParallel < 0 {
-		return fmt.Errorf("%w: %q: CoreParallel=%d (want >= 0: 0 = environment default, 1 = serial, n = n workers)",
-			ErrInvalidConfig, c.Name, c.CoreParallel)
 	}
 	return nil
 }

@@ -105,47 +105,23 @@ type coreState struct {
 	sched []uint64
 	// wgPool is the core's workgroup arena: retired shells (warp structs,
 	// register slabs, shared-memory backing) recycled by placeWorkgroup.
-	// Per-core ownership keeps the parallel scheduler race-free; capacity
-	// is bounded by MaxWGsPerCore.
+	// Capacity is bounded by MaxWGsPerCore.
 	wgPool      []*workgroup
 	threadsUsed int
 	lsuFreeAt   uint64
 	lastWarp    int // greedy-then-oldest cursor
 	rrRun       int // round-robin kernel cursor for dispatch
 
-	// intent is the core's phase-A scratch under the parallel scheduler:
-	// the chosen instruction plus every shared-state effect it deferred.
-	// pend points at intent only while the core-private half of an
-	// instruction executes in phase A; helpers that would otherwise touch
-	// shared state (run stats, liveWGs, dispatchNeeded, the wake heap)
-	// consult it and record into the intent instead. It is nil during
-	// serial execution and during the commit phase, so those paths mutate
-	// shared state directly, exactly as the serial scheduler always has.
-	intent coreIntent
-	pend   *coreIntent
-
 	// sbPlans is reusable scratch for superblock bulk execution: one operand
 	// plan triple per block instruction (superblock.go).
 	sbPlans [][3]srcPlan
 
-	// sPrep is the serial scheduler's memory-instruction scratch: execMem
-	// reuses it instead of zeroing a fresh ~1.6KB memPrep per instruction.
-	// Safe because memGen overwrites every field a commit reads (only
-	// active-lane entries of the big arrays are ever consumed), and the
-	// serial path never has two instructions in flight on one core.
+	// sPrep is the core's memory-instruction scratch: execMem reuses it
+	// instead of zeroing a fresh ~1.6KB memPrep per instruction. Safe
+	// because memGen overwrites every field memCommit reads (only
+	// active-lane entries of the big arrays are ever consumed), and a core
+	// never has two memory instructions in flight.
 	sPrep memPrep
-}
-
-// statsFor returns the LaunchStats sink for counters incremented during the
-// core-private half of an instruction: the run's stats in serial execution,
-// or the core's intent scratch during parallel phase A (the commit phase
-// folds the scratch into the run in ascending core-id order, so totals are
-// byte-identical to serial accumulation).
-func (c *coreState) statsFor(r *kernelRun) *LaunchStats {
-	if c.pend != nil {
-		return &c.pend.stats
-	}
-	return r.stats
 }
 
 // placeWorkgroup instantiates workgroup wgID of run r on this core, reusing
@@ -242,12 +218,10 @@ func (c *coreState) placeWorkgroup(r *kernelRun, wgID int, now uint64) {
 }
 
 // removeWorkgroup frees a completed (or aborted) workgroup's resources and
-// parks the shell in the core's arena for reuse. The arena is per-core so a
-// phase-A retire under the parallel scheduler never races another core's
-// placement or retire, and it is capacity-bounded by the core's concurrent-
-// workgroup limit (a core can never have retired more shells than it can
-// host). The run pointer is dropped so a pooled shell does not keep a
-// finished launch alive.
+// parks the shell in the core's arena for reuse. The arena is capacity-
+// bounded by the core's concurrent-workgroup limit (a core can never have
+// retired more shells than it can host). The run pointer is dropped so a
+// pooled shell does not keep a finished launch alive.
 func (c *coreState) removeWorkgroup(wg *workgroup) {
 	for i, x := range c.wgs {
 		if x == wg {
@@ -274,13 +248,7 @@ func (c *coreState) removeWorkgroup(wg *workgroup) {
 		c.wgPool = append(c.wgPool, wg)
 	}
 	// Freed capacity may admit a pending workgroup; run dispatch this step.
-	// Under the parallel scheduler the flag is GPU-global shared state, so a
-	// phase-A retire defers it to the commit.
-	if c.pend != nil {
-		c.pend.dispatch = true
-	} else {
-		c.gpu.dispatchNeeded = true
-	}
+	c.gpu.dispatchNeeded = true
 }
 
 // issuePick is the outcome of one scheduler scan: the chosen warp (w == nil
@@ -300,8 +268,6 @@ type issuePick struct {
 //
 // The scan's only mutation is reconvergence-stack normalization, which is
 // idempotent — re-running the scan from the same cycle picks the same warp.
-// The parallel scheduler's hazard fallback (re-execute the whole cycle on
-// the serial path) depends on exactly that property.
 func (c *coreState) selectWarp(now uint64) issuePick {
 	n := len(c.warps)
 	pick := issuePick{idx: -1, next: farFuture}
@@ -401,7 +367,7 @@ func (c *coreState) execute(w *warp, in *kernel.Instr, now uint64) {
 		return
 	}
 	r := w.wg.run
-	st := c.statsFor(r)
+	st := r.stats
 	gmask := w.guardMask(in)
 	st.WarpInstrs++
 	st.ThreadInstrs += uint64(bits.OnesCount64(gmask))
@@ -472,13 +438,7 @@ func (c *coreState) retireWarp(w *warp, now uint64) {
 		// arena, which drops its run pointer.
 		run := wg.run
 		c.removeWorkgroup(wg)
-		// The live-workgroup count is owned by the run (shared across
-		// cores); a phase-A retire defers the decrement to the commit.
-		if c.pend != nil {
-			c.pend.retired = run
-		} else {
-			run.liveWGs--
-		}
+		run.liveWGs--
 	}
 }
 
@@ -494,14 +454,8 @@ func (c *coreState) releaseBarrier(wg *workgroup, now uint64) {
 			c.wake(w, now+1)
 		}
 	}
-	// Released warps are ready next cycle; wake the core for them. A
-	// release can only happen inside an issuing execute, whose caller
-	// (tryIssue serially, the commit phase in parallel) re-arms the core at
-	// now+1 unconditionally — so in phase A, where the heap is shared, the
-	// call is simply skipped rather than deferred.
-	if c.pend == nil {
-		c.gpu.wakes.earlier(c.id, now+1)
-	}
+	// Released warps are ready next cycle; wake the core for them.
+	c.gpu.wakes.earlier(c.id, now+1)
 }
 
 func (c *coreState) execBranch(w *warp, in *kernel.Instr, gmask uint64, now uint64) {

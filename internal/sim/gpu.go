@@ -39,19 +39,12 @@ func (m ShareMode) String() string {
 
 // GPU is one simulated device instance, built over a driver.Device whose
 // memory holds the kernels' data. A GPU's methods must not be called
-// concurrently from multiple goroutines — but internally one launch may
-// step its simulated cores on several OS threads (Config.CoreParallel, the
-// two-phase deterministic scheduler): core-private work runs in parallel,
-// shared-state effects commit serially in core-id order, and the results
-// are byte-identical to serial stepping at every width.
+// concurrently from multiple goroutines; every launch steps its simulated
+// cores serially on the calling goroutine.
 type GPU struct {
 	cfg   Config
 	dev   *driver.Device
 	cores []*coreState
-
-	// coreWidth is the resolved CoreParallel value: how many OS threads
-	// step the cores inside one launch (1 = serial stepping).
-	coreWidth int
 
 	l2    *memsys.Cache
 	l2tlb *memsys.TLB
@@ -134,7 +127,6 @@ func NewGPU(cfg Config, dev *driver.Device) (*GPU, error) {
 		wakes:      newWakeHeap(cfg.Cores),
 		sbCache:    make(map[*kernel.Kernel][]int32),
 	}
-	g.coreWidth = cfg.resolveCoreParallel()
 	g.noSuperblocks = cfg.resolveNoSuperblocks()
 	g.noMemPlans = cfg.resolveNoMemPlans()
 	for op := range g.aluLat {
@@ -432,25 +424,11 @@ func (g *GPU) RunConcurrentCtx(ctx context.Context, launches []*driver.Launch, m
 	g.wakes.reset()
 	g.dispatchNeeded = false
 	g.dispatch(allowed)
-	// Parallel core stepping (Config.CoreParallel): phase-A workers live for
-	// this invocation only, parked between cycles. Fault hooks stay cycle-
-	// deterministic: cycleHook fires below on this goroutine before any core
-	// steps, and txFault fires inside the serial commit in core-id order.
-	var cw *coreWorkers
-	if g.coreWidth > 1 {
-		cw = newCoreWorkers(g, g.coreWidth)
-		defer cw.stop()
-	}
 	for live > 0 {
 		if g.cycleHook != nil {
 			g.cycleHook(g.now)
 		}
-		var issued bool
-		if cw != nil {
-			issued = g.stepParallel(cw)
-		} else {
-			issued = g.stepSerial()
-		}
+		issued := g.stepSerial()
 		// Kernel watchdog: a run that exhausts the cycle budget — or can
 		// provably never make progress again (every resident warp parked at
 		// a barrier that will not release) — is aborted with a partial
@@ -531,10 +509,9 @@ func (g *GPU) RunConcurrentCtx(ctx context.Context, launches []*driver.Launch, m
 }
 
 // stepSerial visits every core in ascending id order on the calling
-// goroutine and lets each issue at most one instruction — the reference
-// scheduler whose observable effects the parallel path must reproduce
-// bit-for-bit. It is also the fallback for cycles the parallel path cannot
-// prove abort-free.
+// goroutine and lets each issue at most one instruction. The visit order
+// fixes the order of every shared-state effect (L2, L2 TLB, DRAM, backing
+// store, atomics, violation mailbox), and with it every LaunchStats byte.
 func (g *GPU) stepSerial() bool {
 	issued := false
 	now := g.now

@@ -55,12 +55,7 @@ func TestSteadyStateLaunchAllocs(t *testing.T) {
 	k := buildAllocKernel(t)
 	dev := driver.NewDevice(1)
 	buf := dev.Malloc("p", 4096*4, false)
-	// The floor below is a property of the serial scheduler; parallel
-	// core-stepping legitimately allocates per-launch worker scratch, so pin
-	// the width against the GPUSHIELD_CORE_PARALLEL matrix override.
-	cfg := NvidiaConfig()
-	cfg.CoreParallel = 1
-	gpu := New(cfg, dev)
+	gpu := New(NvidiaConfig(), dev)
 	mk := func() *driver.Launch {
 		l, err := dev.PrepareLaunch(k, 16, 256, []driver.Arg{driver.BufArg(buf)}, driver.ModeOff, nil)
 		if err != nil {

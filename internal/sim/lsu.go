@@ -13,9 +13,8 @@ import (
 
 // memPrep is the core-private half of one global-memory instruction: the
 // generated per-lane addresses and the coalesced transaction set. It is a
-// pure function of warp registers and the launch, so the parallel scheduler
-// computes it in phase A (where it doubles as the abort-hazard evidence)
-// while the shared-state half, memCommit, waits for the serial commit.
+// pure function of warp registers and the launch; memGen fills it and
+// memCommit consumes it.
 type memPrep struct {
 	addrs  [64]uint64
 	offs   [64]int64
@@ -40,15 +39,10 @@ type memPrep struct {
 
 // execMem executes one warp-level memory instruction: address generation,
 // coalescing, bounds checking, translation + cache timing, and the
-// functional access against simulated device memory. Serially that is
-// memGen followed immediately by memCommit; under the parallel scheduler
-// the commit half is deferred into the core's intent and applied in
-// ascending core-id order, so the shared-state mutation sequence is
-// identical either way.
+// functional access against simulated device memory: memGen followed by
+// memCommit.
 func (c *coreState) execMem(w *warp, in *kernel.Instr, gmask uint64, now uint64) {
-	r := w.wg.run
-	st := c.statsFor(r)
-	st.MemInstrs++
+	w.wg.run.stats.MemInstrs++
 
 	if in.Space == kernel.SpaceShared {
 		c.execShared(w, in, gmask, now)
@@ -59,16 +53,9 @@ func (c *coreState) execMem(w *warp, in *kernel.Instr, gmask uint64, now uint64)
 		c.wake(w, now+1)
 		return
 	}
-	if p := c.pend; p != nil {
-		// Parallel phase A: the addresses were already generated during
-		// hazard evaluation in the select phase; everything else touches
-		// shared state and runs at commit time.
-		p.memPend = true
-		return
-	}
-	// The serial scheduler reuses the core's scratch memPrep: zeroing a
-	// fresh ~1.6KB struct per instruction was measurable, and only
-	// active-lane entries of the arrays are ever read downstream.
+	// Reuse the core's scratch memPrep: zeroing a fresh ~1.6KB struct per
+	// instruction was measurable, and only active-lane entries of the
+	// arrays are ever read downstream.
 	prep := &c.sPrep
 	c.memGen(w, in, gmask, prep)
 	c.memCommit(w, in, gmask, now, prep)
@@ -199,33 +186,11 @@ func (c *coreState) memGenRef(w *warp, in *kernel.Instr, gmask uint64, prep *mem
 	prep.ptr = ptr
 }
 
-// anyUnmapped reports whether any guarded lane's generated address falls on
-// an unmapped page — the parallel scheduler's page-fault hazard evidence.
-// It is deliberately conservative: GPUShield may squash the access before
-// the fault is observed, but such a cycle simply falls back to the serial
-// scheduler, which sequences (or suppresses) the abort exactly.
-func (c *coreState) anyUnmapped(gmask uint64, prep *memPrep) bool {
-	if c.rangeMapped(prep) {
-		return false
-	}
-	for lanes := gmask; lanes != 0; {
-		lane := bits.TrailingZeros64(lanes)
-		lanes &^= 1 << uint(lane)
-		if !c.gpu.dev.Mapped(prep.addrs[lane]) {
-			return true
-		}
-	}
-	return false
-}
-
 // memCommit applies the shared-state half of one global-memory instruction
 // whose addresses were generated by memGen: TLB/cache/DRAM timing, fault
 // injection, the bounds check (including RBT fetches through the L2), the
 // page-fault abort, the page census, the functional access, and atomic-unit
-// serialization. Under the parallel scheduler it runs in the serial commit
-// phase in ascending core-id order; serially it runs inline, so both paths
-// mutate the L2/L2TLB/DRAM/atomicBusy/backing-store state in the same order
-// and the golden statistics are byte-identical.
+// serialization.
 func (c *coreState) memCommit(w *warp, in *kernel.Instr, gmask uint64, now uint64, prep *memPrep) {
 	r := w.wg.run
 	st := r.stats
@@ -507,7 +472,7 @@ func (c *coreState) checkTransaction(w *warp, in *kernel.Instr, gmask uint64, pr
 // execShared handles on-chip scratchpad accesses: fixed latency, no
 // LSU/BCU involvement.
 func (c *coreState) execShared(w *warp, in *kernel.Instr, gmask uint64, now uint64) {
-	st := c.statsFor(w.wg.run)
+	st := w.wg.run.stats
 	sh := w.wg.shared
 	p0 := c.plan(w, in.Src[0])
 	p2 := c.plan(w, in.Src[2])

@@ -164,7 +164,7 @@ func (c *coreState) memGenFast(w *warp, in *kernel.Instr, gmask uint64, prep *me
 		base := l.Args[in.Src[0].Param]
 		prep.ptr = base
 		if e.affine && e.geomMask == gmask {
-			// Replay the cached geometry; addrs/offs still refill (commit
+			// Replay the cached geometry; addrs/offs still refill (memCommit
 			// reads them for the ablation loop, the census, and fallbacks).
 			ab := core.Addr(base)
 			b0, s := e.p1.base, e.p1.slope

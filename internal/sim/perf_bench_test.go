@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"testing"
 
 	"gpushield/internal/core"
@@ -210,52 +209,6 @@ func BenchmarkBackingReadUint(b *testing.B) {
 		sink += mem.ReadUint(uint64(i&8191)*8, 8)
 	}
 	_ = sink
-}
-
-// BenchmarkCoreParallelLaunch measures one large ALU-heavy launch that keeps
-// every core busy, at core-stepping widths 1/2/4/8. Width 1 is the serial
-// scheduler (its number guards against two-phase overhead leaking into the
-// default path); wider runs demonstrate the wall-clock scaling of the
-// two-phase protocol on multi-CPU hosts. Results are identical at every
-// width — only sim-cycles/s moves.
-func BenchmarkCoreParallelLaunch(b *testing.B) {
-	build := func() *kernel.Kernel {
-		kb := kernel.NewBuilder("corepar")
-		p := kb.BufferParam("p", false)
-		gtid := kb.GlobalTID()
-		acc := kb.Mov(gtid)
-		kb.ForRange(kernel.Imm(0), kernel.Imm(512), kernel.Imm(1), func(i kernel.Operand) {
-			kb.MovTo(acc, kb.Add(kb.Mul(acc, kernel.Imm(3)), i))
-		})
-		kb.StoreGlobal(kb.AddScaled(p, gtid, 4), acc, 4)
-		return kb.MustBuild()
-	}
-	const grid, block = 64, 256
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("w%d", w), func(b *testing.B) {
-			k := build()
-			dev := driver.NewDevice(1)
-			buf := dev.Malloc("p", grid*block*4, false)
-			cfg := NvidiaConfig()
-			cfg.CoreParallel = w
-			gpu := New(cfg, dev)
-			var cycles uint64
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				l, err := dev.PrepareLaunch(k, grid, block, []driver.Arg{driver.BufArg(buf)}, driver.ModeOff, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				st, err := gpu.Run(l)
-				if err != nil {
-					b.Fatal(err)
-				}
-				cycles += st.Cycles()
-			}
-			b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "sim-cycles/s")
-		})
-	}
 }
 
 // BenchmarkDeviceSetup measures what every fresh launch context pays before

@@ -21,7 +21,7 @@ import (
 // planning and the per-lane arithmetic (already applied). Issue slots,
 // contention between warps, wake times, watchdog and cancellation polls, the
 // visited-cycle sequence, and partial stats at any abort point are therefore
-// byte-identical to single-stepping at every -core-parallel width.
+// byte-identical to single-stepping.
 //
 // Hoisting the arithmetic is safe because ALU instructions are lane-local
 // (each lane reads and writes only its own registers) and warp-private: no
@@ -489,7 +489,7 @@ func (c *coreState) execSBFast(w *warp, low []sbIn) {
 // latency — everything except the (already applied) arithmetic. It must
 // mirror execute's ALU path exactly.
 func (c *coreState) replayIssue(w *warp, in *kernel.Instr, now uint64) {
-	st := c.statsFor(w.wg.run)
+	st := w.wg.run.stats
 	st.WarpInstrs++
 	st.ThreadInstrs += uint64(bits.OnesCount64(w.active))
 	w.sbLeft--

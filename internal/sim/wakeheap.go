@@ -45,21 +45,6 @@ func (h *wakeHeap) reset() {
 // at returns core's current wake time.
 func (h *wakeHeap) at(core int) uint64 { return h.wake[core] }
 
-// due appends to dst every core whose wake time has arrived at cycle now,
-// in ascending core-id order — which is both the serial scheduler's visit
-// order and the parallel scheduler's commit order. In an abort-free cycle
-// no event can wake a core mid-step, so the set computed up front equals
-// the set the serial loop would visit; abort cycles never reach here (the
-// hazard fallback re-runs them serially).
-func (h *wakeHeap) due(now uint64, dst []*coreState, cores []*coreState) []*coreState {
-	for _, c := range cores {
-		if h.wake[c.id] <= now {
-			dst = append(dst, c)
-		}
-	}
-	return dst
-}
-
 // set moves core's wake time to t.
 func (h *wakeHeap) set(core int, t uint64) {
 	if h.wake[core] != t {

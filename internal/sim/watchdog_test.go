@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
 	"errors"
 	"strings"
 	"testing"
@@ -201,5 +204,45 @@ func TestNewGPURejectsInvalidConfig(t *testing.T) {
 	bad.L1D.LineBytes = 100 // not a power of two
 	if _, err := NewGPU(bad, driver.NewDevice(1)); !errors.Is(err, ErrInvalidConfig) {
 		t.Fatalf("want ErrInvalidConfig for cache geometry, got %v", err)
+	}
+}
+
+// TestSetMaxCyclesMatchesConfigBudget pins the contract the daemon's cycle
+// budgets rely on: a watchdog budget armed after construction with
+// SetMaxCycles, the way the serving loop rearms it per request, aborts at
+// exactly the cycle Config.MaxCycles does, with a byte-identical partial
+// report.
+func TestSetMaxCyclesMatchesConfigBudget(t *testing.T) {
+	run := func(viaSetter bool) []byte {
+		t.Helper()
+		dev := driver.NewDevice(11)
+		buf := dev.Malloc("p", 1<<20, false)
+		l, err := dev.PrepareLaunch(buildSpinGolden(t), 16, 64, []driver.Arg{driver.BufArg(buf)}, driver.ModeOff, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := NvidiaConfig()
+		if !viaSetter {
+			cfg.MaxCycles = 4096
+		}
+		gpu := New(cfg, dev)
+		if viaSetter {
+			gpu.SetMaxCycles(4096)
+		}
+		st, err := gpu.RunConcurrentCtx(context.Background(), []*driver.Launch{l}, ShareInterCore)
+		if !errors.Is(err, ErrWatchdog) {
+			t.Fatalf("got %v, want ErrWatchdog", err)
+		}
+		if len(st) != 1 || !st[0].Aborted || st[0].WarpInstrs == 0 {
+			t.Fatalf("expected an aborted partial report with progress, got %+v", st)
+		}
+		j, err := json.Marshal(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j
+	}
+	if got, want := run(true), run(false); !bytes.Equal(got, want) {
+		t.Fatalf("SetMaxCycles partial report diverged from Config.MaxCycles:\n got: %s\nwant: %s", got, want)
 	}
 }

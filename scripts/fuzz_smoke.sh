@@ -9,7 +9,7 @@
 #   2. determinism: stdout is byte-identical across -parallel widths and
 #      across repeat runs at the same seed
 #   3. race freedom: the full run passes under the race detector
-#   4. superblock equivalence: a 200-kernel leg at -core-parallel 2 is
+#   4. superblock equivalence: a 200-kernel leg at -parallel 1 is
 #      byte-identical with superblock stepping forced off via
 #      GPUSHIELD_NO_SUPERBLOCKS, so the pre-decoded fast path (PR 8) is
 #      fuzzed against reference single-stepping on every CI run
@@ -43,29 +43,17 @@ echo "== fuzz again at -parallel 8"
 "$work/experiments" -run fuzz -seed "$SEED" -fuzz-count "$COUNT" \
     -parallel 8 >"$work/p8.out"
 
-echo "== fuzz again at -parallel 4 -core-parallel 2"
-"$work/experiments" -run fuzz -seed "$SEED" -fuzz-count "$COUNT" \
-    -parallel 4 -core-parallel 2 >"$work/p4c2.out"
-
-echo "== determinism: diff the three runs"
+echo "== determinism: diff the two runs"
 if ! diff -u "$work/p1.out" "$work/p8.out" >&2; then
     echo "FAIL: report differs between -parallel 1 and -parallel 8" >&2
     exit 1
 fi
-if ! diff -u "$work/p1.out" "$work/p4c2.out" >&2; then
-    echo "FAIL: report differs with -core-parallel 2" >&2
-    exit 1
-fi
 
-# -parallel 1 leaves the whole machine budget to per-run core stepping, so
-# the width-2 request survives the engine's oversubscription cap on any
-# host with >= 2 CPUs (on a 1-CPU host it degrades to serial stepping,
-# which still diffs superblocks against the reference path).
-echo "== superblock differential: $SB_COUNT kernels, -core-parallel 2"
+echo "== superblock differential: $SB_COUNT kernels, -parallel 1"
 "$work/experiments" -run fuzz -seed "$SEED" -fuzz-count "$SB_COUNT" \
-    -parallel 1 -core-parallel 2 >"$work/sb_on.out"
+    -parallel 1 >"$work/sb_on.out"
 GPUSHIELD_NO_SUPERBLOCKS=1 "$work/experiments" -run fuzz -seed "$SEED" \
-    -fuzz-count "$SB_COUNT" -parallel 1 -core-parallel 2 >"$work/sb_off.out"
+    -fuzz-count "$SB_COUNT" -parallel 1 >"$work/sb_off.out"
 if ! diff -u "$work/sb_off.out" "$work/sb_on.out" >&2; then
     echo "FAIL: superblock path diverges from single-step reference" >&2
     exit 1
@@ -73,10 +61,10 @@ fi
 
 # Same shape for the PR 10 memory path: plans + transaction-granularity
 # checking + verdict cache on (default) vs the reference per-lane path.
-# sb_on.out doubles as the plans-on run — same seed, count, and widths.
-echo "== memory-plan differential: $SB_COUNT kernels, -core-parallel 2"
+# sb_on.out doubles as the plans-on run — same seed, count, and width.
+echo "== memory-plan differential: $SB_COUNT kernels, -parallel 1"
 GPUSHIELD_NO_MEMPLANS=1 "$work/experiments" -run fuzz -seed "$SEED" \
-    -fuzz-count "$SB_COUNT" -parallel 1 -core-parallel 2 >"$work/mp_off.out"
+    -fuzz-count "$SB_COUNT" -parallel 1 >"$work/mp_off.out"
 if ! diff -u "$work/mp_off.out" "$work/sb_on.out" >&2; then
     echo "FAIL: memory-plan path diverges from per-lane reference" >&2
     exit 1
