@@ -52,8 +52,15 @@ bench-json:
 # scripts/bench_compare.sh). PR 10 rebuilds the memory hot path around
 # warp memory plans and transaction-granularity BCU checking; the guard
 # holds the warp-issue and allocation lines while the mem-path lines move.
+# The second pair guards the paged tag store and 4 KB backing granule: the
+# cache and TLB hit/miss paths and backing reads may not slow by more than
+# 15% against the pre-paging snapshot, and device set-up may not allocate
+# more than it did before paging.
 bench-guard:
 	bash scripts/bench_compare.sh BENCH_PR10_base.json BENCH_PR10.json
+	MATCH='BenchmarkTLBAccess|BenchmarkCacheAccess|BenchmarkBackingReadUint|BenchmarkFunctionalMemPath' \
+		ALLOC_MATCH='BenchmarkDeviceSetup' \
+		bash scripts/bench_compare.sh BENCH_PR14_layers_base.json BENCH_PR14_layers.json
 
 # Regenerate every table and figure at full fidelity.
 experiments:

@@ -3,8 +3,12 @@ package memsys
 import "encoding/binary"
 
 // chunkBytes is the allocation granule of the backing store. It is an
-// implementation detail independent of the architectural page size.
-const chunkBytes = 1 << 16
+// implementation detail independent of the architectural page size. A
+// fresh device pays a chunk for every region a launch touches (buffers,
+// RBT, locals), so the granule is small; a coalesced transaction is at most
+// one 64 or 128 B line and lines divide it, so a transaction never
+// straddles a chunk and Span always serves it.
+const chunkBytes = 1 << 12
 
 // Backing is the byte-addressable storage behind simulated device memory.
 // It is sparse: chunks materialize on first touch, so a 48-bit address space
@@ -164,7 +168,3 @@ func (m *Backing) ReadUint32(addr uint64) uint32 { return uint32(m.ReadUint(addr
 
 // WriteUint32 writes a 32-bit little-endian value.
 func (m *Backing) WriteUint32(addr uint64, v uint32) { m.WriteUint(addr, uint64(v), 4) }
-
-// FootprintBytes returns the number of materialized bytes (a measure of
-// simulated-memory usage, not architectural allocation).
-func (m *Backing) FootprintBytes() int { return len(m.chunks) * chunkBytes }

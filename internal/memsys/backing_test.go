@@ -6,10 +6,14 @@ import "testing"
 // ReadUint/WriteUint for every width at every offset around a chunk
 // boundary, checking against a byte-at-a-time reference.
 func TestBackingStraddleWidths(t *testing.T) {
+	straddles := 0
 	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8} {
 		for delta := -8; delta <= 1; delta++ {
 			m := NewBacking()
 			addr := uint64(chunkBytes + delta)
+			if addr/chunkBytes != (addr+uint64(n)-1)/chunkBytes {
+				straddles++
+			}
 			v := uint64(0x1122334455667788)
 			m.WriteUint(addr, v, n)
 
@@ -37,6 +41,9 @@ func TestBackingStraddleWidths(t *testing.T) {
 				t.Fatalf("n=%d delta=%d: byte after write clobbered: %#x", n, delta, b)
 			}
 		}
+	}
+	if straddles == 0 {
+		t.Fatal("no case crosses a chunk edge")
 	}
 }
 
@@ -78,5 +85,20 @@ func TestBackingScalarPathDoesNotAllocate(t *testing.T) {
 		_ = m.ReadUint(aligned, 3) // odd-width in-chunk path
 	}); avg != 0 {
 		t.Fatalf("scalar path allocates: %v allocs/run", avg)
+	}
+}
+
+// TestBackingMaterializesOneChunkPerTouch checks that a one-byte write to a
+// fresh store materializes a single 4 KB chunk.
+func TestBackingMaterializesOneChunkPerTouch(t *testing.T) {
+	m := NewBacking()
+	m.WriteUint(0x2000_0000_1234, 0xAB, 1)
+	if len(m.chunks) != 1 {
+		t.Fatalf("one-byte write materialized %d chunks, want 1", len(m.chunks))
+	}
+	for _, c := range m.chunks {
+		if len(c) != 4096 {
+			t.Fatalf("chunk is %d bytes, want 4096", len(c))
+		}
 	}
 }

@@ -198,8 +198,8 @@ func TestBackingRoundTrip(t *testing.T) {
 	if got := m.ReadUint32(0x8); got != 42 {
 		t.Fatalf("u32 round trip: %d", got)
 	}
-	// Cross-chunk write (chunk is 64KB).
-	addr := uint64(1<<16 - 3)
+	// Cross-chunk write.
+	addr := uint64(16*chunkBytes - 3)
 	m.WriteBytes(addr, []byte{1, 2, 3, 4, 5, 6})
 	got := m.ReadBytes(addr, 6)
 	for i, b := range []byte{1, 2, 3, 4, 5, 6} {

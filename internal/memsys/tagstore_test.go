@@ -1,8 +1,10 @@
 package memsys
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -99,15 +101,22 @@ func tagGeometries() []tagGeometry {
 		{name: "cache-16way", sets: 16, ways: 16, granule: 128, newStore: cache(32<<10, 128, 16)},
 		{name: "tlb-48x16-3sets", sets: 3, ways: 16, granule: 4096, newStore: tlb(48, 16)},
 		{name: "cache-48x16-3sets", sets: 3, ways: 16, granule: 64, newStore: cache(48*64, 64, 16)},
+		// The default L2: 1024 sets of 16 ways, 32 pages of 32 sets.
+		{name: "cache-l2-2mb-16way", sets: 1024, ways: 16, granule: 128, newStore: cache(2<<20, 128, 16)},
+		// Ways beyond the page target: one set, one 1024-slot page.
+		{name: "cache-1024way-fa", sets: 1, ways: 1024, granule: 128, newStore: cache(1024*128, 128, 1024)},
 	}
 }
 
 // tagStreams generates address streams that stress different halves of the
 // store: random reuse across a window a few times the capacity, strided
 // thrash that cycles ways+1 lines through one set (every access an LRU
-// miss), and same-page bursts that live on the MRU hint. Extreme tags (0 and
-// the top of the address space) appear in every stream.
-func tagStreams(g tagGeometry) []tagStream {
+// miss), same-page bursts that live on the MRU hint, and a paged stream
+// that first stays inside the sets of the first tag page (pageSets of them)
+// and then spreads over all sets. Extreme tags (0 and the top of the
+// address space) appear in every stream; while the paged stream is
+// confined, its top-of-space tag is the one that maps to set 0.
+func tagStreams(g tagGeometry, pageSets, confinedOps int) []tagStream {
 	gran := uint64(g.granule)
 	capacity := uint64(g.sets*g.ways) * gran
 	base := uint64(0x2000_0000_0000)
@@ -121,8 +130,12 @@ func tagStreams(g tagGeometry) []tagStream {
 		}
 		return 0, false
 	}
-	var thrashI, burstLeft uint64
+	var thrashI, burstLeft, pagedI uint64
 	var burstPage uint64
+	top := ^uint64(0)
+	if g.sets&(g.sets-1) == 0 {
+		top &^= setStride - 1 // set bits clear: set 0
+	}
 	return []tagStream{
 		{"random", func(rng *rand.Rand) uint64 {
 			if a, ok := extreme(rng); ok {
@@ -149,6 +162,23 @@ func tagStreams(g tagGeometry) []tagStream {
 			burstLeft--
 			return base + burstPage*gran + uint64(rng.Intn(g.granule))
 		}},
+		{"paged", func(rng *rand.Rand) uint64 {
+			pagedI++
+			if pagedI > uint64(confinedOps) {
+				if a, ok := extreme(rng); ok {
+					return a
+				}
+				return base + uint64(rng.Int63n(int64(3*capacity)))
+			}
+			switch rng.Intn(200) {
+			case 0:
+				return 0
+			case 1:
+				return top
+			}
+			set := uint64(rng.Intn(min(pageSets, g.sets)))
+			return base + uint64(rng.Intn(3*g.ways))*setStride + set*gran + uint64(rng.Intn(g.granule))
+		}},
 	}
 }
 
@@ -162,11 +192,23 @@ type tagStream struct {
 // access and identical Stats throughout. It also compares the stores way by
 // way — also right after Flush — so residency matches and the victim is the
 // very way the reference evicts (the last invalid way, else the least
-// recently used), not merely an equivalent one.
+// recently used), not merely an equivalent one. Stores of at most
+// fullCheckSlots ways are compared whole after every access; larger ones
+// compare the accessed set after every access and the whole store every
+// few accesses, keeping the per-access cost the same. Flush must leave
+// unmaterialized pages unmaterialized. The paged stream must materialize
+// exactly one page while it stays inside it, flushes there with the other
+// pages still unmaterialized, and must have materialized every page once it
+// has spread.
 func TestTagStoreMatchesReferenceLRU(t *testing.T) {
 	const ops = 20000
+	const confinedOps = ops / 2
+	const fullCheckSlots = 256
 	for gi, g := range tagGeometries() {
-		for si, s := range tagStreams(g) {
+		_, probe := g.newStore()
+		pageSets := int(probe.pageMask) + 1
+		fullEvery := max(1, g.sets*g.ways/fullCheckSlots)
+		for si, s := range tagStreams(g, pageSets, confinedOps) {
 			t.Run(g.name+"/"+s.name, func(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(gi*10 + si + 1)))
 				store, ts := g.newStore()
@@ -179,17 +221,38 @@ func TestTagStoreMatchesReferenceLRU(t *testing.T) {
 					if ts.Stats != ref.Stats {
 						t.Fatalf("op %d: stats %+v, reference %+v", i, ts.Stats, ref.Stats)
 					}
-					if set, w, ok := sameWays(ts, ref); !ok {
-						t.Fatalf("op %d: set %d way %d: tag %#x lastUse %d, reference %+v",
-							i, set, w, ts.tags[set*g.ways+w], ts.lastUse[set*g.ways+w], ref.sets[set][w])
+					set := int((addr >> ref.shift) % ref.numSets)
+					if w, ok := sameSet(ts, ref, set); !ok {
+						t.Fatalf("op %d: accessed set %d way %d differs: %s", i, set, w, wayDiff(ts, ref, set, w))
 					}
-					if rng.Intn(3000) == 0 {
-						store.Flush()
-						ref.flush()
+					if i%fullEvery == fullEvery-1 {
 						if set, w, ok := sameWays(ts, ref); !ok {
-							t.Fatalf("op %d: set %d way %d still valid after Flush", i, set, w)
+							t.Fatalf("op %d: set %d way %d differs: %s", i, set, w, wayDiff(ts, ref, set, w))
 						}
 					}
+					confinedEnd := s.name == "paged" && i == confinedOps-1
+					if confinedEnd {
+						if n := ts.materialized(); n != 1 {
+							t.Fatalf("op %d: %d tag pages materialized inside one page's sets, want 1", i, n)
+						}
+					}
+					if rng.Intn(3000) == 0 || confinedEnd {
+						before := ts.materialized()
+						store.Flush()
+						ref.flush()
+						if n := ts.materialized(); n != before {
+							t.Fatalf("op %d: Flush changed materialized pages %d -> %d", i, before, n)
+						}
+						if set, w, ok := sameWays(ts, ref); !ok {
+							t.Fatalf("op %d: set %d way %d differs after Flush: %s", i, set, w, wayDiff(ts, ref, set, w))
+						}
+					}
+				}
+				if set, w, ok := sameWays(ts, ref); !ok {
+					t.Fatalf("end: set %d way %d differs: %s", set, w, wayDiff(ts, ref, set, w))
+				}
+				if n := ts.materialized(); s.name == "paged" && n != len(ts.pages) {
+					t.Fatalf("paged stream materialized %d of %d pages after spreading", n, len(ts.pages))
 				}
 				if ref.Stats.Hits == 0 || ref.Stats.Misses == 0 {
 					t.Fatalf("stream exercised only one outcome: %+v", ref.Stats)
@@ -199,16 +262,110 @@ func TestTagStoreMatchesReferenceLRU(t *testing.T) {
 	}
 }
 
+// way returns the tag and tick held by one way of the store. A way of an
+// unmaterialized page reads as invalid (tick 0).
+func (s *tagStore) way(set, w int) (tag, lastUse uint64) {
+	pg := s.pages[set>>s.pageBits]
+	if pg == nil {
+		return 0, 0
+	}
+	i := s.row(uint64(set)&s.pageMask) + w
+	return pg[i], pg[i+s.ways]
+}
+
+// materialized returns the number of tag pages allocated so far.
+func (s *tagStore) materialized() int {
+	n := 0
+	for _, pg := range s.pages {
+		if pg != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// sameSet reports whether every way of one set of ts holds what the same
+// way of ref holds, returning the first mismatching way.
+func sameSet(ts *tagStore, ref *refLRU, set int) (way int, ok bool) {
+	for w, l := range ref.sets[set] {
+		tag, use := ts.way(set, w)
+		if valid := use != 0; valid != l.valid || valid && (tag != l.tag || use != l.lastUse) {
+			return w, false
+		}
+	}
+	return 0, true
+}
+
 // sameWays reports whether every way of ts holds what the same way of ref
 // holds, returning the first mismatch.
 func sameWays(ts *tagStore, ref *refLRU) (set, way int, ok bool) {
-	for set, lines := range ref.sets {
-		for w, l := range lines {
-			i := set*ts.ways + w
-			if valid := ts.lastUse[i] != 0; valid != l.valid || valid && (ts.tags[i] != l.tag || ts.lastUse[i] != l.lastUse) {
-				return set, w, false
-			}
+	for set := range ref.sets {
+		if w, ok := sameSet(ts, ref, set); !ok {
+			return set, w, false
 		}
 	}
 	return 0, 0, true
+}
+
+func wayDiff(ts *tagStore, ref *refLRU, set, w int) string {
+	tag, use := ts.way(set, w)
+	return fmt.Sprintf("tag %#x lastUse %d, reference %+v", tag, use, ref.sets[set][w])
+}
+
+// defaultL2 is the simulator's default shared L2 geometry.
+var defaultL2 = CacheConfig{Name: "L2", SizeBytes: 2 << 20, LineBytes: 128, Ways: 16, HitLatency: 90}
+
+// TestNewCacheL2ConstructionIsSmall checks that building the default 2 MB
+// L2 costs its page table, not its 256 KB of tags and ticks.
+func TestNewCacheL2ConstructionIsSmall(t *testing.T) {
+	const runs, budget = 100, 8 << 10
+	keep := make([]*Cache, runs)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range keep {
+		keep[i] = MustCache(defaultL2)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= budget {
+		t.Fatalf("NewCache(default L2) allocates %d B, want < %d", per, budget)
+	}
+	if n := keep[0].materialized(); n != 0 {
+		t.Fatalf("fresh L2 has %d tag pages materialized, want 0", n)
+	}
+}
+
+// TestTagPagesMaterializeOnTouch checks that a burst of accesses inside one
+// 4 KB span materializes exactly one tag page, in the default L2 (32 pages
+// of 32 sets, one set per 128 B line) and in the single-page L1D and TLB.
+func TestTagPagesMaterializeOnTouch(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		store func() (presence, *tagStore)
+		pages int
+	}{
+		{"L2", func() (presence, *tagStore) { c := MustCache(defaultL2); return c, &c.tagStore }, 32},
+		{"L1D", func() (presence, *tagStore) {
+			c := MustCache(CacheConfig{Name: "L1D", SizeBytes: 16 << 10, LineBytes: 128, Ways: 4, HitLatency: 28})
+			return c, &c.tagStore
+		}, 1},
+		{"L1TLB", func() (presence, *tagStore) {
+			tl := MustTLB(TLBConfig{Name: "L1TLB", Entries: 64, Ways: 64, PageBytes: 4096})
+			return tl, &tl.tagStore
+		}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			store, ts := tc.store()
+			if len(ts.pages) != tc.pages {
+				t.Fatalf("%d tag pages, want %d", len(ts.pages), tc.pages)
+			}
+			rng := rand.New(rand.NewSource(1))
+			base := uint64(0x2000_0000_0000) + 7<<12
+			for i := 0; i < 1000; i++ {
+				store.Access(base + uint64(rng.Intn(4096)))
+			}
+			if n := ts.materialized(); n != 1 {
+				t.Fatalf("burst inside one 4 KB span materialized %d tag pages, want 1", n)
+			}
+		})
+	}
 }

@@ -32,7 +32,12 @@
 #      benchmarks the PR did not touch, re-record the baseline from the
 #      previous revision (git worktree) back-to-back with the candidate,
 #      commit it alongside (e.g. BENCH_PR8_base.json), and point the gate
-#      at the pair. Cross-machine comparisons are only meaningful for the
+#      at the pair. On a host whose speed drifts between minutes, record
+#      the pair interleaved instead: alternate -count 1 rounds of the
+#      bench-json `go test` line on the two revisions and pipe each side's
+#      concatenated output into `go run ./cmd/benchjson -o FILE`, which
+#      folds the rounds best-of-N (BENCH_PR14_layers*.json, 10 rounds).
+#      Cross-machine comparisons are only meaningful for the
 #      allocation columns (exact) and ratios, not absolute ns/op.
 #   4. Commit the JSON; CI replays this gate with BENCHTIME=1x for smoke.
 set -euo pipefail
