@@ -87,8 +87,9 @@ SOAK ?= 20s
 soak-smoke:
 	$(GO) run -race ./cmd/experiments -run faults -soak $(SOAK) -parallel 4
 
-# Kill a journaled sweep mid-flight, resume it, and assert final stdout is
-# byte-identical to an uninterrupted run.
+# Interrupt a -store sweep mid-flight (SIGINT, then kill -9), rerun it over
+# the same store, and assert store hits and final stdout byte-identical to an
+# uninterrupted run.
 resume-smoke:
 	bash scripts/resume_smoke.sh
 

@@ -5,8 +5,7 @@
 //	experiments -list
 //	experiments -run fig14
 //	experiments -run all [-csv] [-parallel N] [-json]
-//	experiments -run all -journal runs.jsonl        # crash-safe sweep
-//	experiments -run all -resume runs.jsonl -journal runs.jsonl
+//	experiments -run all -store results/            # crash-safe, resumable sweep
 //	experiments -run faults -soak 20s -parallel 4   # soak the campaign path
 //	experiments -run all -cpuprofile cpu.pprof -memprofile mem.pprof
 //
@@ -19,33 +18,32 @@
 // remaining experiment still runs, failures are reported per-experiment,
 // and the process exits non-zero at the end if anything failed.
 //
-// Lifecycle: -journal appends every completed unique run to a write-ahead
-// log (fsync'd before the result is reported); -resume replays such a log
-// into the memo cache so an interrupted sweep continues where it stopped,
-// with final stdout byte-identical to an uninterrupted run. The first
-// SIGINT/SIGTERM cancels cleanly (in-flight simulations abort with partial
-// stats, the journal stays valid); a second signal hard-exits. -soak loops
-// fault-injection campaigns until the duration elapses, watching for memory
-// growth between iterations.
+// Lifecycle: the first SIGINT/SIGTERM cancels cleanly (in-flight
+// simulations abort with partial stats, every completed run already in the
+// -store stays valid) and the sweep exits 130; rerunning with the same
+// -store continues where it stopped, with final stdout byte-identical to an
+// uninterrupted run. A second signal hard-exits. -soak loops fault-injection
+// campaigns until the duration elapses, watching for memory growth between
+// iterations.
 //
-// Fleet mode (fault-tolerant sweep orchestration):
+// Result store and fleet mode (fault-tolerant sweep orchestration):
 //
-//	experiments -run all -store results/                 # incremental sweep
+//	experiments -run all -store results/                 # incremental, resumable sweep
 //	experiments -run all -store results/ -fleet 4        # 4 worker processes
 //	experiments -worker                                  # one worker (spawned by -fleet)
 //
 // -store DIR keeps every completed run in a content-addressed result store
 // (keyed by the canonical run hash over benchmark, arch, mode, BCU config,
 // scale, seed, and sim version): a warm re-run re-simulates only configs
-// whose hash is absent, and a coordinator killed at any point resumes from
-// the store with byte-identical final stdout. -fleet N spawns N worker
-// subprocesses (this binary with -worker) and leases them job shards;
-// workers heartbeat while executing and stream results back append-only,
-// leases expire on missed heartbeats and shards are reassigned with capped
-// exponential backoff, so any worker can die — kill -9 included — and the
-// sweep still completes with stdout byte-identical to a serial local run.
-// Interrupted coordinators and SIGTERM'd workers both exit 130 with the
-// partial store intact.
+// whose hash is absent, and a sweep killed at any point (kill -9 included)
+// resumes from the store with byte-identical final stdout. -fleet N spawns
+// N worker subprocesses (this binary with -worker) and leases them job
+// shards; workers heartbeat while executing and stream results back
+// append-only, leases expire on missed heartbeats and shards are reassigned
+// with capped exponential backoff, so any worker can die — kill -9
+// included — and the sweep still completes with stdout byte-identical to a
+// serial local run. Interrupted coordinators and SIGTERM'd workers both exit
+// 130 with the partial store intact.
 package main
 
 import (
@@ -93,14 +91,14 @@ func main() { os.Exit(realMain()) }
 
 // installSignalHandler wires the two-stage shutdown via internal/lifecycle:
 // the first SIGINT/SIGTERM cancels ctx (simulations abort with partial
-// stats, the journal stays consistent) and prints how to resume; the second
+// stats, the store stays consistent) and prints how to resume; the second
 // kills the process immediately for the case where a clean drain itself is
 // wedged.
-func installSignalHandler(cancel context.CancelCauseFunc, journalPath string) {
+func installSignalHandler(cancel context.CancelCauseFunc, storePath string) {
 	lifecycle.Notify(func(s os.Signal) {
-		hint := "use -journal FILE to make interrupted sweeps resumable"
-		if journalPath != "" {
-			hint = fmt.Sprintf("resume later with -resume %s -journal %s", journalPath, journalPath)
+		hint := "use -store DIR to make interrupted sweeps resumable"
+		if storePath != "" {
+			hint = fmt.Sprintf("resume later with -store %s", storePath)
 		}
 		fmt.Fprintf(os.Stderr, "\n%v: canceling (%s); signal again to exit immediately\n", s, hint)
 		cancel(lifecycle.CancelCause(s))
@@ -115,9 +113,6 @@ func realMain() int {
 	csv := flag.Bool("csv", false, "emit tables as CSV instead of aligned text")
 	parallel := flag.Int("parallel", 0, "engine worker-pool width; 0 = one per CPU, 1 = serial")
 	jsonOut := flag.Bool("json", false, "emit a machine-readable timing summary (JSON) on stdout; tables move to stderr")
-	journalPath := flag.String("journal", "", "append every completed run to this write-ahead journal (JSON lines, fsync'd)")
-	journalMaxBytes := flag.Int64("journal-max-bytes", 64<<20, "compact the journal (last record per key, atomic rewrite) when it grows past this many bytes; 0 = unbounded. Keeps soak-length loops from growing the journal with wall-clock time")
-	resumePath := flag.String("resume", "", "replay a journal into the run cache before starting (continue an interrupted sweep)")
 	storePath := flag.String("store", "", "content-addressed result store directory: completed runs persist under their run hash, warm re-runs re-simulate only absent configs")
 	fleetN := flag.Int("fleet", 0, "coordinator mode: spawn N worker subprocesses (-worker) and lease them job shards; 0 = compute in-process")
 	workerMode := flag.Bool("worker", false, "worker mode: read shard leases on stdin, stream results on stdout (spawned by -fleet)")
@@ -180,46 +175,14 @@ func realMain() int {
 
 	ctx, cancel := context.WithCancelCause(context.Background())
 	defer cancel(nil)
-	installSignalHandler(cancel, *journalPath)
+	installSignalHandler(cancel, *storePath)
 
 	if *soak > 0 {
 		return runSoak(ctx, *soak)
 	}
 
-	// Replay before opening for append: -resume and -journal may (and in the
-	// resume workflow do) name the same file.
-	if *resumePath != "" {
-		entries, prep, err := experiments.LoadJournalReport(*resumePath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "resume: %v\n", err)
-			return 1
-		}
-		n := experiments.PrimeJournal(entries)
-		fmt.Fprintf(os.Stderr, "resume: replayed %d completed runs from %s\n", n, *resumePath)
-		if prep.Damaged() {
-			fmt.Fprintf(os.Stderr, "resume: journal damage tolerated (%s); skipped runs re-execute\n", prep)
-		}
-	}
-	var journal *experiments.Journal
-	if *journalPath != "" {
-		j, err := experiments.OpenJournal(*journalPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "journal: %v\n", err)
-			return 1
-		}
-		journal = j
-		j.SetMaxBytes(*journalMaxBytes)
-		experiments.SetJournal(j)
-		defer func() {
-			experiments.SetJournal(nil)
-			if err := j.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "journal: %v (resume coverage may be incomplete)\n", err)
-			}
-		}()
-	}
-
 	// Durable layer below the memo cache: completed runs persist under their
-	// content hash, so warm re-runs (and resumed coordinator kills) only
+	// content hash, so warm re-runs and resumed interrupted sweeps only
 	// re-simulate configs that were never delivered.
 	var store *resultstore.Store
 	if *storePath != "" {
@@ -295,7 +258,7 @@ func realMain() int {
 		elapsed := time.Since(t0)
 		if err != nil && ctx.Err() != nil {
 			// Cancellation, not a failure: the run is healthy and will be
-			// re-executed (or journal-served) on resume.
+			// re-executed (or store-served) on resume.
 			fmt.Fprintf(os.Stderr, "CANCELED %s after %v\n", e.ID, elapsed.Round(time.Millisecond))
 			interrupted = true
 			break
@@ -351,19 +314,14 @@ func realMain() int {
 		}
 	} else {
 		fmt.Fprintf(os.Stderr,
-			"engine: %d jobs (%d unique runs, %d store hits, %d cache hits, %d bespoke, %d replayed), parallel=%d, wall %v, serial-equivalent %v, speedup %.2fx\n",
-			es.Jobs, es.UniqueRuns, es.StoreHits, es.CacheHits, es.Bespoke, es.Replayed, experiments.Parallelism(),
+			"engine: %d jobs (%d unique runs, %d store hits, %d cache hits, %d bespoke), parallel=%d, wall %v, serial-equivalent %v, speedup %.2fx\n",
+			es.Jobs, es.UniqueRuns, es.StoreHits, es.CacheHits, es.Bespoke, experiments.Parallelism(),
 			wall.Round(time.Millisecond), time.Duration(es.SerialSeconds*float64(time.Second)).Round(time.Millisecond),
 			speedup)
 		fmt.Fprintf(os.Stderr, "experiments: %d passed, %d failed\n", len(timings)-len(failures), len(failures))
 	}
 	for _, q := range quarantined {
 		fmt.Fprintf(os.Stderr, "quarantined: %s (%s) after %d attempts: %s\n", q.Bench, q.Mode, q.Attempts, q.Err)
-	}
-	if journal != nil {
-		if err := journal.Err(); err != nil {
-			fmt.Fprintf(os.Stderr, "journal: %v (resume coverage may be incomplete)\n", err)
-		}
 	}
 	if store != nil {
 		ss := store.Stats()
@@ -383,13 +341,10 @@ func realMain() int {
 			*fleetN, fs.ShardsLeased, fs.Results, fs.DupDeliveries, fs.WorkerDeaths, fs.LeaseExpiries, fs.Requeues)
 	}
 	if interrupted {
-		switch {
-		case *storePath != "":
+		if *storePath != "" {
 			fmt.Fprintf(os.Stderr, "interrupted: rerun with -store %s to continue (completed runs are already durable)\n", *storePath)
-		case *journalPath != "":
-			fmt.Fprintf(os.Stderr, "interrupted: rerun with -resume %s -journal %s to continue\n", *journalPath, *journalPath)
-		default:
-			fmt.Fprintln(os.Stderr, "interrupted: rerun with -journal FILE or -store DIR next time to make sweeps resumable")
+		} else {
+			fmt.Fprintln(os.Stderr, "interrupted: rerun with -store DIR next time to make sweeps resumable")
 		}
 		return lifecycle.ExitInterrupted
 	}

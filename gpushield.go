@@ -111,14 +111,6 @@ func WithFineGrainedHeap() Option { return func(c *config) { c.fineHeap = true }
 // non-terminating kernels.
 func WithMaxCycles(n uint64) Option { return func(c *config) { c.maxCycles = n } }
 
-// WithCoreParallelism has no effect: every launch steps its simulated cores
-// serially. It is kept so existing callers still compile.
-//
-// Deprecated: intra-launch parallel core stepping was removed because it
-// only ever made launches slower. Run independent Systems concurrently
-// instead.
-func WithCoreParallelism(int) Option { return func(*config) {} }
-
 // WithPerThreadChecks disables warp-level address-range gathering so the
 // BCU checks every lane individually — an ablation knob, not a deployment
 // configuration.

@@ -82,10 +82,9 @@ type EngineStats struct {
 	UniqueRuns     int     `json:"unique_runs"`     // simulations actually executed (locally or by a fleet worker)
 	CacheHits      int     `json:"cache_hits"`      // requests served from the memo cache
 	StoreHits      int     `json:"store_hits"`      // configs served from the content-addressed result store
-	Bespoke        int     `json:"bespoke"`         // ForEachErr jobs: not keyable, so never cached, stored, or journaled
+	Bespoke        int     `json:"bespoke"`         // ForEachErr jobs: not keyable, so never cached or stored
 	Retries        int     `json:"retries"`         // re-attempts after a failed execution
 	Quarantined    int     `json:"quarantined"`     // runs that exhausted their retries
-	Replayed       int     `json:"replayed"`        // memo entries primed from a resume journal
 	ComputeSeconds float64 `json:"compute_seconds"` // Σ executed-run wall-clock
 	SerialSeconds  float64 `json:"serial_seconds"`  // Σ wall-clock every request would have paid serially
 }
@@ -107,14 +106,13 @@ const (
 // The engine is the run-lifecycle layer: each unique run is executed with
 // panic containment (a panicking run becomes that run's error, matching
 // pool.ErrRunPanic), retried under the deterministic backoff policy,
-// quarantined if it keeps failing, journaled (when a Journal is attached)
+// quarantined if it keeps failing, stored (when a result store is attached)
 // before its result is reported, and dropped from the memo cache if it was
 // canceled so a later attempt under a live context can re-execute it.
 type Engine struct {
 	mu      sync.Mutex
 	workers int
 	memo    map[memoKey]*memoEntry
-	journal *Journal
 	store   *resultstore.Store // durable content-addressed layer under the memo cache
 	remote  RemoteFunc         // fleet coordinator hook; nil = compute locally
 
@@ -125,9 +123,8 @@ type Engine struct {
 	uniqueRuns int
 	bespoke    int
 	retryCount int
-	replayed   int
 	storeHits  int
-	storeErr   error // first store write failure (sticky, like journal errors)
+	storeErr   error // first store write failure (sticky)
 	quarantine []QuarantineEntry
 	compute    time.Duration
 	serial     time.Duration
@@ -155,15 +152,6 @@ func (e *Engine) Workers() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.workers
-}
-
-// SetJournal attaches (or detaches, with nil) the write-ahead journal.
-// Every subsequently executed unique run is appended before its result is
-// returned to the requester.
-func (e *Engine) SetJournal(j *Journal) {
-	e.mu.Lock()
-	e.journal = j
-	e.mu.Unlock()
 }
 
 // SetStore attaches (or detaches, with nil) the content-addressed result
@@ -210,32 +198,13 @@ func (e *Engine) SetRetryPolicy(retries int, backoff time.Duration) {
 	e.mu.Unlock()
 }
 
-// Prime replays journal entries into the memo cache: each entry's once is
-// pre-burned so requests for its key are served from the journal instead of
-// re-simulating. Duplicates apply last-wins (a rerun that overwrote a run
-// supersedes the earlier record). Returns how many distinct keys are now
-// served from the journal.
-func (e *Engine) Prime(entries []JournalEntry) int {
-	distinct := make(map[memoKey]struct{})
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for _, ent := range entries {
-		me := &memoEntry{st: ent.st, err: ent.err, dur: ent.dur}
-		me.once.Do(func() {}) // burn: requesters skip the compute path
-		e.memo[ent.key] = me
-		distinct[ent.key] = struct{}{}
-	}
-	e.replayed += len(distinct)
-	return len(distinct)
-}
-
-// Reset drops the memo cache and zeroes the accounting (pool width, journal
-// and retry policy stay).
+// Reset drops the memo cache and zeroes the accounting (pool width, store,
+// remote hook and retry policy stay).
 func (e *Engine) Reset() {
 	e.mu.Lock()
 	e.memo = map[memoKey]*memoEntry{}
 	e.jobs, e.uniqueRuns, e.bespoke = 0, 0, 0
-	e.retryCount, e.replayed = 0, 0
+	e.retryCount = 0
 	e.storeHits, e.storeErr = 0, nil
 	e.quarantine = nil
 	e.compute, e.serial = 0, 0
@@ -254,7 +223,6 @@ func (e *Engine) Stats() EngineStats {
 		Bespoke:        e.bespoke,
 		Retries:        e.retryCount,
 		Quarantined:    len(e.quarantine),
-		Replayed:       e.replayed,
 		ComputeSeconds: e.compute.Seconds(),
 		SerialSeconds:  e.serial.Seconds(),
 	}
@@ -349,8 +317,8 @@ func (e *Engine) computeWithRetry(ctx context.Context, b workloads.Benchmark, o 
 // (the run hash is computed here, once per unique config — the memo-hit
 // fast path never hashes); on a store miss the run executes, remotely when
 // a fleet coordinator is attached and the benchmark resolves out-of-process,
-// locally otherwise; the completed run is then made durable (store, journal)
-// before the result is reported.
+// locally otherwise; the completed run is then stored durably before the
+// result is reported.
 func (e *Engine) RunBenchmark(ctx context.Context, b workloads.Benchmark, o RunOpts) (*sim.LaunchStats, error) {
 	key := o.memoKey(b.Name)
 	e.mu.Lock()
@@ -441,17 +409,6 @@ func (e *Engine) RunBenchmark(ctx context.Context, b workloads.Benchmark, o RunO
 		return nil, ent.err
 	}
 
-	if executed {
-		// Write-ahead: the record must be durable before the result is
-		// reported, so a killed sweep never re-pays for a reported run.
-		e.mu.Lock()
-		j := e.journal
-		e.mu.Unlock()
-		if j != nil {
-			j.append(key, ent.st, ent.err, ent.dur)
-		}
-	}
-
 	e.mu.Lock()
 	e.jobs++
 	e.serial += ent.dur
@@ -486,11 +443,11 @@ func (e *Engine) RunSet(ctx context.Context, jobs []Job) ([]*sim.LaunchStats, er
 // ForEachErr runs n bespoke jobs (multi-kernel pairs, microbenchmark
 // variants, tool models — anything that is not a plain RunBenchmark) across
 // the pool. The jobs are timed into the engine accounting but — having no
-// run key — are never memoized, journaled, or stored: they re-execute on
-// every sweep, warm or cold, and are counted as Bespoke rather than
-// UniqueRuns so "0 unique runs" remains an exact warm-sweep assertion. fn
-// must write its result into an index-addressed slot. A panicking job
-// becomes that index's error.
+// run key — are never memoized or stored: they re-execute on every sweep,
+// warm or cold, and are counted as Bespoke rather than UniqueRuns so "0
+// unique runs" remains an exact warm-sweep assertion. fn must write its
+// result into an index-addressed slot. A panicking job becomes that index's
+// error.
 func (e *Engine) ForEachErr(ctx context.Context, n int, fn func(i int) error) error {
 	return pool.ForEachErrCtx(ctx, e.Workers(), n, func(i int) error {
 		start := time.Now()
@@ -517,10 +474,6 @@ func SetParallelism(n int) { defaultEngine.SetWorkers(n) }
 // Parallelism reports the default engine's pool width.
 func Parallelism() int { return defaultEngine.Workers() }
 
-// SetJournal attaches the write-ahead run journal to the default engine;
-// cmd/experiments wires its -journal flag here.
-func SetJournal(j *Journal) { defaultEngine.SetJournal(j) }
-
 // SetStore attaches the content-addressed result store to the default
 // engine; cmd/experiments wires its -store flag here.
 func SetStore(s *resultstore.Store) { defaultEngine.SetStore(s) }
@@ -531,10 +484,6 @@ func SetRemote(fn RemoteFunc) { defaultEngine.SetRemote(fn) }
 
 // StoreErr reports the default engine's first store write failure, if any.
 func StoreErr() error { return defaultEngine.StoreErr() }
-
-// PrimeJournal replays journal entries into the default engine's memo
-// cache (the -resume path), returning how many distinct runs were primed.
-func PrimeJournal(entries []JournalEntry) int { return defaultEngine.Prime(entries) }
 
 // QuarantineSnapshot returns the default engine's quarantined runs.
 func QuarantineSnapshot() []QuarantineEntry { return defaultEngine.Quarantine() }

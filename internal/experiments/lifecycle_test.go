@@ -2,10 +2,7 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -135,211 +132,5 @@ func TestEngineCanceledRunNotCached(t *testing.T) {
 	}
 	if st == nil || st.Cycles() == 0 {
 		t.Fatal("re-run returned empty stats")
-	}
-}
-
-// TestJournalRoundTrip is the resume contract end to end: runs journaled by
-// one engine replay into a fresh engine, which serves them bit-identically
-// without re-simulating — including a journaled failure.
-func TestJournalRoundTrip(t *testing.T) {
-	good, err := workloads.ByName("vectoradd")
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := flakyBench("test-journal-bad", 1<<30)
-	path := filepath.Join(t.TempDir(), "runs.jsonl")
-
-	j, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e1 := NewEngine(2)
-	e1.SetRetryPolicy(0, time.Millisecond)
-	e1.SetJournal(j)
-	st1, err := e1.RunBenchmark(context.Background(), good, RunOpts{Mode: driver.ModeShield})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, badErr := e1.RunBenchmark(context.Background(), bad, RunOpts{Mode: driver.ModeOff})
-	if badErr == nil {
-		t.Fatal("expected the bad benchmark to fail")
-	}
-	if jerr := j.Err(); jerr != nil {
-		t.Fatalf("journal write error: %v", jerr)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	entries, err := LoadJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 2 {
-		t.Fatalf("journal holds %d entries, want 2", len(entries))
-	}
-
-	e2 := NewEngine(2)
-	if n := e2.Prime(entries); n != 2 {
-		t.Fatalf("primed %d runs, want 2", n)
-	}
-	st2, err := e2.RunBenchmark(context.Background(), good, RunOpts{Mode: driver.ModeShield})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g1, _ := json.Marshal(st1)
-	g2, _ := json.Marshal(st2)
-	if string(g1) != string(g2) {
-		t.Fatalf("replayed stats diverge:\n%s\n%s", g1, g2)
-	}
-	_, err = e2.RunBenchmark(context.Background(), bad, RunOpts{Mode: driver.ModeOff})
-	if err == nil || err.Error() != badErr.Error() {
-		t.Fatalf("replayed error %v, want %v", err, badErr)
-	}
-	// Nothing was re-simulated: both requests were journal replays.
-	if s := e2.Stats(); s.UniqueRuns != 0 || s.Replayed != 2 {
-		t.Fatalf("stats = %+v, want 0 unique runs / 2 replayed", s)
-	}
-}
-
-// TestJournalParserTolerance pins the crash cases one by one.
-func TestJournalParserTolerance(t *testing.T) {
-	key := RunOpts{Mode: driver.ModeShield}.memoKey("tol-bench")
-	line := func(bench string, cycles uint64) string {
-		k := key.journal()
-		k.Bench = bench
-		rec := journalRecord{V: journalVersion, Key: k, DurNS: 5, Stats: &sim.LaunchStats{Kernel: bench, FinishCycle: cycles}}
-		b, err := json.Marshal(rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(b) + "\n"
-	}
-
-	t.Run("torn last line skipped", func(t *testing.T) {
-		data := line("a", 10) + line("b", 20)
-		torn := data + `{"v":1,"key":{"bench":"c"` // killed mid-write
-		got := ParseJournal([]byte(torn))
-		if len(got) != 2 {
-			t.Fatalf("parsed %d entries, want 2 (torn record skipped)", len(got))
-		}
-	})
-	t.Run("garbage line skipped", func(t *testing.T) {
-		data := line("a", 10) + "not json at all\n" + line("b", 20)
-		if got := ParseJournal([]byte(data)); len(got) != 2 {
-			t.Fatalf("parsed %d entries, want 2", len(got))
-		}
-	})
-	t.Run("unknown version skipped", func(t *testing.T) {
-		newer := strings.Replace(line("a", 10), `"v":1`, `"v":99`, 1)
-		if got := ParseJournal([]byte(newer + line("b", 20))); len(got) != 1 {
-			t.Fatalf("parsed %d entries, want 1 (v99 skipped)", len(got))
-		}
-	})
-	t.Run("duplicate keys last-wins on replay", func(t *testing.T) {
-		data := line("a", 10) + line("a", 30)
-		entries := ParseJournal([]byte(data))
-		if len(entries) != 2 {
-			t.Fatalf("parsed %d entries, want both duplicates", len(entries))
-		}
-		e := NewEngine(1)
-		if n := e.Prime(entries); n != 1 {
-			t.Fatalf("primed %d distinct keys, want 1", n)
-		}
-		k := entries[0].key
-		e.mu.Lock()
-		ent := e.memo[k]
-		e.mu.Unlock()
-		if ent == nil || ent.st.FinishCycle != 30 {
-			t.Fatalf("replay kept the first duplicate, want the last (FinishCycle 30)")
-		}
-	})
-	t.Run("empty and whitespace", func(t *testing.T) {
-		if got := ParseJournal(nil); got != nil {
-			t.Fatalf("nil input parsed to %v", got)
-		}
-		if got := ParseJournal([]byte("\n\n  \n")); got != nil {
-			t.Fatalf("blank input parsed to %v", got)
-		}
-	})
-	t.Run("missing file is empty journal", func(t *testing.T) {
-		entries, err := LoadJournal(filepath.Join(t.TempDir(), "nope.jsonl"))
-		if err != nil || entries != nil {
-			t.Fatalf("missing journal: entries=%v err=%v, want nil/nil", entries, err)
-		}
-	})
-}
-
-// FuzzJournalParse: whatever bytes a crash, a partial write, or a hostile
-// editor leaves behind, the parser must return without panicking.
-func FuzzJournalParse(f *testing.F) {
-	key := RunOpts{Mode: driver.ModeShield}.memoKey("fuzz-bench")
-	rec := journalRecord{V: journalVersion, Key: key.journal(), DurNS: 5, Stats: &sim.LaunchStats{Kernel: "fuzz-bench", FinishCycle: 42}}
-	valid, err := json.Marshal(rec)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(append(valid, '\n'))
-	f.Add(valid[:len(valid)/2])                                       // torn mid-record
-	f.Add([]byte("{}\n"))                                             // empty object
-	f.Add([]byte(`{"v":99,"key":{"bench":"x"}}` + "\n"))              // future version
-	f.Add(append(append([]byte{}, valid...), valid[:10]...))          // complete + torn
-	f.Add([]byte("\xff\xfe garbage \x00\n"))                          // binary noise
-	f.Add([]byte(`{"v":1,"key":null,"stats":{"Kernel":"x"}}` + "\n")) // null key
-	// A file truncated exactly at a record boundary — the cut a crash right
-	// after compaction's atomic rename can leave. Nothing is torn here.
-	twoRecords := append(append(append([]byte{}, valid...), '\n'), append(valid, '\n')...)
-	f.Add(twoRecords)
-	// Two producers interleaved: one died mid-write, gluing half its record
-	// onto the other's complete line; valid records follow the damage.
-	glued := append(append(append([]byte{}, valid[:len(valid)/2]...), append(valid, '\n')...), append(valid, '\n')...)
-	f.Add(glued)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		entries, rep := ParseJournalReport(data)
-		for _, e := range entries {
-			if e.key.bench == "" {
-				t.Fatal("parser admitted an entry with an empty benchmark key")
-			}
-			if e.err == nil && e.st == nil {
-				t.Fatal("parser admitted a success entry with no stats")
-			}
-		}
-		if rep.Entries != len(entries) {
-			t.Fatalf("report says %d entries, parser returned %d", rep.Entries, len(entries))
-		}
-		if len(data) > 0 && data[len(data)-1] != '\n' {
-			// Anything not newline-terminated has, by definition, a torn tail
-			// (possibly an empty-whitespace one — TrimSpace runs after the
-			// newline scan, so even spaces count).
-			if !rep.TornTail {
-				t.Fatal("input lacks a trailing newline but no torn tail was reported")
-			}
-		}
-	})
-}
-
-// TestJournalAppendDurability: the record for a completed run is on disk
-// (parseable, fsync'd) before RunBenchmark returns — the write-ahead
-// property resume depends on.
-func TestJournalAppendDurability(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal.jsonl")
-	j, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	e := NewEngine(1)
-	e.SetJournal(j)
-	if _, err := e.RunBenchmark(context.Background(), multiLaunchBench("test-wal"), RunOpts{Mode: driver.ModeOff}); err != nil {
-		t.Fatal(err)
-	}
-	// Read back without closing the journal: the data must already be there.
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	entries := ParseJournal(data)
-	if len(entries) != 1 || entries[0].key.bench != "test-wal" {
-		t.Fatalf("journal on disk holds %d entries after the run returned, want 1", len(entries))
 	}
 }

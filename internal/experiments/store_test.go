@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"gpushield/internal/driver"
 	"gpushield/internal/resultstore"
@@ -27,7 +28,8 @@ func statsJSON(t *testing.T, st *sim.LaunchStats) string {
 }
 
 // TestWarmStoreColdMemo: a fresh process (new engine, empty memo) over a
-// populated store serves results from disk without re-simulating.
+// populated store serves results from disk without re-simulating — a
+// persistent failure included, which comes back with its error text.
 func TestWarmStoreColdMemo(t *testing.T) {
 	dir := t.TempDir()
 	store, err := resultstore.Open(dir)
@@ -35,9 +37,11 @@ func TestWarmStoreColdMemo(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := multiLaunchBench("test-warm-store-cold-memo")
+	bad := flakyBench("test-warm-store-failure", 1<<30)
 	opts := RunOpts{Mode: driver.ModeShield}
 
 	e1 := NewEngine(1)
+	e1.SetRetryPolicy(0, time.Millisecond)
 	e1.SetStore(store)
 	ref, err := e1.RunBenchmark(context.Background(), b, opts)
 	if err != nil {
@@ -45,6 +49,10 @@ func TestWarmStoreColdMemo(t *testing.T) {
 	}
 	if s := e1.Stats(); s.UniqueRuns != 1 || s.StoreHits != 0 {
 		t.Fatalf("cold first run misaccounted: %+v", s)
+	}
+	_, badErr := e1.RunBenchmark(context.Background(), bad, opts)
+	if badErr == nil {
+		t.Fatal("expected the always-failing benchmark to fail")
 	}
 
 	// "New process": fresh engine, fresh store handle over the same dir.
@@ -66,6 +74,14 @@ func TestWarmStoreColdMemo(t *testing.T) {
 	}
 	if ss := store2.Stats(); ss.Hits != 1 || ss.Puts != 0 {
 		t.Fatalf("store stats %+v, want 1 hit, 0 puts", ss)
+	}
+
+	_, err = e2.RunBenchmark(context.Background(), bad, opts)
+	if err == nil || err.Error() != badErr.Error() {
+		t.Fatalf("store-served failure = %v, want %v", err, badErr)
+	}
+	if s := e2.Stats(); s.UniqueRuns != 0 || s.StoreHits != 2 {
+		t.Fatalf("stored failure re-simulated or misaccounted: %+v", s)
 	}
 }
 

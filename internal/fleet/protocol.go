@@ -22,10 +22,10 @@
 //     stdout is byte-identical to a serial local run at any worker count,
 //     with any number of worker crashes
 //
-// The wire format is line-oriented versioned JSON in both directions — the
-// same discipline (and for results, the same record shape) as the PR 4 run
-// journal, which is what lets a torn final line from a dying worker be
-// dropped without ambiguity.
+// The wire format is line-oriented versioned JSON in both directions; a
+// result line carries a resultstore.Entry, the same record the store files
+// on disk. Every complete line ends in a newline, which is what lets a torn
+// final line from a dying worker be dropped without ambiguity.
 package fleet
 
 import "gpushield/internal/resultstore"

@@ -6,12 +6,13 @@
 // equal hashes produce bit-identical LaunchStats, so a stored entry can be
 // served in place of re-simulating, across processes, machines, and time.
 //
-// The store generalizes PR 2's in-process memo cache (same key, now hashed
-// and durable) and PR 4's write-ahead journal (same record shape, now one
-// atomic file per run instead of an append-only log). It is the substrate
-// for incremental sweeps — only configs whose hash is absent re-simulate —
-// and for the fleet coordinator/worker mode (internal/fleet), where any
-// number of workers may Put the same entry concurrently and idempotently.
+// The store is the durable form of the engine's in-process memo cache
+// (same key, hashed and written one atomic file per run) and the one way a
+// sweep survives being killed: a rerun over the same store serves every
+// completed run from disk. It is the substrate for incremental and resumed
+// sweeps — only configs whose hash is absent re-simulate — and for the
+// fleet coordinator/worker mode (internal/fleet), where any number of
+// workers may Put the same entry concurrently and idempotently.
 //
 // Durability discipline:
 //
@@ -79,10 +80,9 @@ func (k Key) Hash() string {
 // on read instead of mis-serving.
 const entryVersion = 1
 
-// Entry is one stored run: the same record shape as a journal line (PR 4),
-// carrying either stats (success) or an error string (deterministic
-// failure), plus the compute duration for the engine's serial-equivalent
-// accounting. Entries are also the fleet's wire format: workers stream them
+// Entry is one stored run, carrying either stats (success) or an error
+// string (deterministic failure), plus the compute duration for the
+// engine's serial-equivalent accounting. Entries are also the fleet's wire format: workers stream them
 // back to the coordinator one JSON line at a time.
 type Entry struct {
 	V     int              `json:"v"`

@@ -2,8 +2,10 @@ package resultstore
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -248,6 +250,47 @@ func TestEntryCodec(t *testing.T) {
 			t.Fatalf("DecodeEntry accepted %q", bad)
 		}
 	}
+}
+
+// FuzzDecodeEntry: whatever bytes a crash, bitrot or a confused worker
+// leaves in an object file or on a fleet result line, DecodeEntry must not
+// panic, must admit only entries that pass Valid (the same check the fleet
+// coordinator applies to every result line), and every admitted entry must
+// survive Encode → DecodeEntry unchanged.
+func FuzzDecodeEntry(f *testing.F) {
+	ok, err := NewEntry(testKey("fuzz-ok"), testStats(42), nil, 5*time.Millisecond).Encode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	failed, err := NewEntry(testKey("fuzz-err"), nil, errors.New("build: deterministic failure"), time.Millisecond).Encode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(ok)
+	f.Add(failed)
+	f.Add(ok[:len(ok)/2]) // torn mid-record
+	f.Add([]byte(strings.Replace(string(ok), `"v":1`, `"v":99`, 1)))
+	f.Add([]byte("\xff\xfe garbage \x00\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ent, err := DecodeEntry(data)
+		if err != nil {
+			return
+		}
+		if !ent.Valid() {
+			t.Fatalf("DecodeEntry admitted an invalid entry: %+v", ent)
+		}
+		line, err := ent.Encode()
+		if err != nil {
+			t.Fatalf("admitted entry does not encode: %v", err)
+		}
+		back, err := DecodeEntry(line)
+		if err != nil {
+			t.Fatalf("re-encoded entry rejected: %v\n%s", err, line)
+		}
+		if !reflect.DeepEqual(ent, back) {
+			t.Fatalf("round trip changed the entry:\n%+v\n%+v", ent, back)
+		}
+	})
 }
 
 // BenchmarkKeyHash pins the cost of the run hash: the engine computes it
