@@ -40,9 +40,9 @@ bench:
 BENCHTIME ?= 2s
 BENCHCOUNT ?= 3
 BENCHOUT ?= BENCH_PR10.json
-BENCH ?= BenchmarkWarpIssueThroughput|BenchmarkMemInstrThroughput|BenchmarkMemPlanPaths|BenchmarkSimulatorThroughput|BenchmarkFunctionalMemPath|BenchmarkBackingReadUint|BenchmarkLaunchAllocs|BenchmarkDeviceSetup|BenchmarkTLBAccess|BenchmarkCacheAccess|BenchmarkMappedRange
+BENCH ?= BenchmarkWarpIssueThroughput|BenchmarkMemInstrThroughput|BenchmarkMemPlanPaths|BenchmarkSimulatorThroughput|BenchmarkFunctionalMemPath|BenchmarkBackingReadUint|BenchmarkLaunchAllocs|BenchmarkDeviceSetup|BenchmarkMachineReset|BenchmarkTLBAccess|BenchmarkCacheAccess|BenchmarkMappedRange|BenchmarkKernelCodec
 bench-json:
-	$(GO) test ./internal/sim ./internal/memsys ./internal/driver -run '^$$' -bench '$(BENCH)' -benchtime $(BENCHTIME) -count $(BENCHCOUNT) -benchmem \
+	$(GO) test ./internal/sim ./internal/memsys ./internal/driver ./internal/kernelfuzz -run '^$$' -bench '$(BENCH)' -benchtime $(BENCHTIME) -count $(BENCHCOUNT) -benchmem \
 		| $(GO) run ./cmd/benchjson -o $(BENCHOUT)
 
 # Fail if the serial hot paths — warp issue, cycle-level and functional
@@ -56,11 +56,19 @@ bench-json:
 # cache and TLB hit/miss paths and backing reads may not slow by more than
 # 15% against the pre-paging snapshot, and device set-up may not allocate
 # more than it did before paging.
+# The third pair guards machine reuse and the hand-written kernel codec:
+# resetting a used device+GPU (BenchmarkMachineReset; the parent snapshot
+# builds a fresh pair, which is all that revision could do) and a kernel
+# encode+decode (BenchmarkKernelCodec; the parent ran the reflective codec)
+# may not be slower or allocate more than before.
 bench-guard:
 	bash scripts/bench_compare.sh BENCH_PR10_base.json BENCH_PR10.json
 	MATCH='BenchmarkTLBAccess|BenchmarkCacheAccess|BenchmarkBackingReadUint|BenchmarkFunctionalMemPath' \
 		ALLOC_MATCH='BenchmarkDeviceSetup' \
 		bash scripts/bench_compare.sh BENCH_PR14_layers_base.json BENCH_PR14_layers.json
+	MATCH='BenchmarkMachineReset|BenchmarkKernelCodec' \
+		ALLOC_MATCH='BenchmarkMachineReset|BenchmarkKernelCodec' \
+		bash scripts/bench_compare.sh BENCH_PR16_layers_base.json BENCH_PR16_layers.json
 
 # Regenerate every table and figure at full fidelity.
 experiments:

@@ -162,6 +162,24 @@ func NewBCU(cfg BCUConfig) *BCU {
 	return b
 }
 
+// Reset returns the BCU to the state NewBCU gives: both RCache levels
+// empty with zeroed statistics, no kernel installed, an empty violation
+// log and no latched fault. gen is the one exception: it advances instead
+// of restarting, so a CheckMemo stamped before the reset can never match
+// again.
+func (b *BCU) Reset() {
+	for i := range b.l1 {
+		b.l1[i].Reset()
+		b.l2[i].Reset()
+	}
+	clear(b.kernels)
+	b.Stats = BCUStats{}
+	clear(b.violations)
+	b.violations = b.violations[:0]
+	b.faulted, b.fault = false, Violation{}
+	b.gen++
+}
+
 // bank selects the RCache partition for a kernel (§6.2: kernels map to
 // banks by scheduler position; kernel ID is our stand-in).
 func (b *BCU) bank(kernelID uint16) int {

@@ -72,6 +72,13 @@ func (c *L1RCache) Flush() {
 	c.next = 0
 }
 
+// Reset returns the cache to the state NewL1RCache gives: Flush plus
+// zeroed Stats.
+func (c *L1RCache) Reset() {
+	c.Flush()
+	c.Stats = RCacheStats{}
+}
+
 // Entries returns the capacity.
 func (c *L1RCache) Entries() int { return len(c.entries) }
 
@@ -131,6 +138,18 @@ func (c *L2RCache) Flush() {
 		c.entries[i] = RCacheEntry{}
 		c.lastUse[i] = 0
 	}
+}
+
+// Reset returns the cache to the state NewL2RCache gives: Flush plus a
+// zeroed LRU clock and Stats. A cache with a zero clock has seen no lookup
+// or insert since it was built or reset, so it is already in that state.
+func (c *L2RCache) Reset() {
+	if c.tick == 0 {
+		return
+	}
+	c.Flush()
+	c.tick = 0
+	c.Stats = RCacheStats{}
 }
 
 // Entries returns the capacity.

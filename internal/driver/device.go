@@ -114,6 +114,27 @@ func NewDevice(seed int64) *Device {
 	}
 }
 
+// Reset returns the device to exactly the state NewDevice(seed) gives,
+// reusing its allocations: empty memory and page map, allocator cursors at
+// their bases, no heap, default RBT/heap/ID-budget policies, no launch
+// mutator, and the ID/key stream restarted from seed. Buffers and launches
+// prepared before the reset are dead: their memory reads zero and their
+// addresses are handed out again.
+func (d *Device) Reset(seed int64) {
+	d.Mem.Reset()
+	d.mapped.reset()
+	d.globalNext, d.svmNext, d.rbtNext, d.localNext = globalBase, svmBase, rbtBase, localBase
+	d.heap, d.heapNext, d.heapLimit = nil, 0, 0
+	clear(d.heapChunks)
+	d.heapChunks = d.heapChunks[:0]
+	d.fineGrainHeap = false
+	d.idBudget = 0
+	d.rbtRecycle, d.rbtRegion = false, 0
+	d.rbtIDs = d.rbtIDs[:0]
+	d.launchMutator = nil
+	d.rng.Seed(seed)
+}
+
 func align(v, a uint64) uint64 { return (v + a - 1) &^ (a - 1) }
 
 // nextPow2 returns the smallest power of two >= v (minimum 1).

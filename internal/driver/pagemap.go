@@ -58,6 +58,12 @@ func (m *pageMap) insert(first, last uint64) {
 	m.spans[i] = s
 }
 
+// reset unmaps every page, keeping the span array's capacity.
+func (m *pageMap) reset() {
+	m.spans = m.spans[:0]
+	m.hint.Store(0)
+}
+
 // contains reports whether every page in [first, last] is mapped.
 func (m *pageMap) contains(first, last uint64) bool {
 	h := int(m.hint.Load())

@@ -158,7 +158,7 @@ func EntryFromCase(ctx context.Context, c *Case, name, note string, opts oracleO
 		if e.ValidateErr == "" {
 			return nil, fmt.Errorf("malformed case %d: no sentinel to persist", c.Index)
 		}
-		raw, err := json.MarshalIndent(c.Malformed.Kernel, "", "  ")
+		raw, err := c.Malformed.Kernel.EncodeJSON()
 		if err != nil {
 			return nil, fmt.Errorf("malformed case %d: kernel not serializable: %w", c.Index, err)
 		}
@@ -246,13 +246,13 @@ func Replay(e *CorpusEntry) error {
 		if len(e.Launches) != 1 {
 			return fmt.Errorf("%s: validate entry wants exactly one kernel", e.Name)
 		}
-		// Plain unmarshal, not DecodeJSON: the kernel must decode but then
-		// fail validation with the recorded sentinel.
-		var k kernel.Kernel
-		if err := json.Unmarshal(e.Launches[0].Kernel, &k); err != nil {
+		// ParseJSON, not DecodeJSON: the kernel must decode but then fail
+		// validation with the recorded sentinel.
+		k, err := kernel.ParseJSON(e.Launches[0].Kernel)
+		if err != nil {
 			return fmt.Errorf("%s: kernel does not decode: %w", e.Name, err)
 		}
-		err := k.Validate()
+		err = k.Validate()
 		if err == nil {
 			return fmt.Errorf("%s: invalid kernel accepted by Validate", e.Name)
 		}

@@ -108,10 +108,10 @@ type Expr struct {
 	X, Y *Expr
 }
 
-func konst(v int64) *Expr         { return &Expr{Kind: ExConst, Val: v} }
-func gtid() *Expr                 { return &Expr{Kind: ExGTID} }
-func tid() *Expr                  { return &Expr{Kind: ExTID} }
-func evar(v int) *Expr            { return &Expr{Kind: ExVar, Var: v} }
+func konst(v int64) *Expr              { return &Expr{Kind: ExConst, Val: v} }
+func gtid() *Expr                      { return &Expr{Kind: ExGTID} }
+func tid() *Expr                       { return &Expr{Kind: ExTID} }
+func evar(v int) *Expr                 { return &Expr{Kind: ExVar, Var: v} }
 func bin(k ExprKind, x, y *Expr) *Expr { return &Expr{Kind: k, X: x, Y: y} }
 
 // StmtKind enumerates the statement forms of the generated AST.
@@ -584,7 +584,7 @@ func (g *gen) genUAF() {
 	l1.Body = append(l1.Body,
 		&Stmt{
 			Kind: SLoad, Site: g.site(0, 2, 8, g.rng.Intn(2) == 0, false), Buf: 2,
-			Elem: bin(ExAnd, gtid(), konst(maskFor(ielems))),
+			Elem:  bin(ExAnd, gtid(), konst(maskFor(ielems))),
 			Scale: 8, Bytes: 8, Var: 0,
 		},
 		// Method B, data-dependent: classified AccessRuntime, which pins the
@@ -597,7 +597,7 @@ func (g *gen) genUAF() {
 		},
 		&Stmt{
 			Kind: SStore, Site: g.site(0, 1, 8, false, true), Buf: 1,
-			Elem: bin(ExAnd, gtid(), konst(maskFor(eelems))),
+			Elem:  bin(ExAnd, gtid(), konst(maskFor(eelems))),
 			Scale: 8, Bytes: 8, Val: &Expr{Kind: ExParam, Arg: 0},
 		})
 	g.c.Launches = append(g.c.Launches, l1)
@@ -611,14 +611,14 @@ func (g *gen) genUAF() {
 	l2.NumVars = 1
 	ld := &Stmt{
 		Kind: SLoad, Site: g.site(1, 0, 8, g.rng.Intn(2) == 0, false), Buf: 0,
-		Elem: bin(ExAnd, gtid(), konst(maskFor(eelems))),
+		Elem:  bin(ExAnd, gtid(), konst(maskFor(eelems))),
 		Scale: 8, Bytes: 8, Var: v,
 	}
 	deref := g.site(1, -1, 8, false, true)
 	deref.Opaque = true
 	use := &Stmt{
 		Kind: SStore, Site: deref, Buf: -1, Base: evar(v),
-		Elem: bin(ExAnd, tid(), konst(maskFor(velems))),
+		Elem:  bin(ExAnd, tid(), konst(maskFor(velems))),
 		Scale: 8, Bytes: 8, Val: tid(),
 	}
 	l2.Body = append(l2.Body, ld, use)

@@ -22,20 +22,20 @@ type FindKind int
 // Finding kinds, ordered roughly by layer: generator self-checks, codec,
 // compiler leg, runtime legs.
 const (
-	FindGenInvalid     FindKind = iota // generated kernel failed Build/Validate
-	FindTruthInvariant                 // taint reached an address/branch: truth unsound
-	FindPlantInert                     // planted fault produced no OOB in ground truth
-	FindValidateGap                    // malformed kernel accepted, or wrong sentinel
-	FindCodecMismatch                  // JSON round-trip not lossless
-	FindAnalyzeError                   // compiler.Analyze rejected a valid kernel
-	FindCompilerUnsound                // StaticSafe access is OOB in ground truth
-	FindCompilerFalseOOB               // StaticOOB access executes in bounds
-	FindShieldMissed                   // ModeShield: truth says OOB, BCU silent
-	FindShieldSpurious                 // ModeShield: BCU flagged an in-bounds access
-	FindStaticMissed                   // ModeShieldStatic: expected violation absent
-	FindStaticSpurious                 // ModeShieldStatic: unexpected violation
-	FindRunAbort                       // launch aborted (fault, watchdog, deadlock)
-	FindPanic                          // simulator/driver panicked
+	FindGenInvalid       FindKind = iota // generated kernel failed Build/Validate
+	FindTruthInvariant                   // taint reached an address/branch: truth unsound
+	FindPlantInert                       // planted fault produced no OOB in ground truth
+	FindValidateGap                      // malformed kernel accepted, or wrong sentinel
+	FindCodecMismatch                    // JSON round-trip not lossless
+	FindAnalyzeError                     // compiler.Analyze rejected a valid kernel
+	FindCompilerUnsound                  // StaticSafe access is OOB in ground truth
+	FindCompilerFalseOOB                 // StaticOOB access executes in bounds
+	FindShieldMissed                     // ModeShield: truth says OOB, BCU silent
+	FindShieldSpurious                   // ModeShield: BCU flagged an in-bounds access
+	FindStaticMissed                     // ModeShieldStatic: expected violation absent
+	FindStaticSpurious                   // ModeShieldStatic: unexpected violation
+	FindRunAbort                         // launch aborted (fault, watchdog, deadlock)
+	FindPanic                            // simulator/driver panicked
 )
 
 func (k FindKind) String() string {
@@ -96,6 +96,48 @@ func (f Finding) String() string {
 // and corpus replay.
 type oracleOpts struct {
 	MaxCycles uint64 // per-launch watchdog
+	// mach is the evaluating worker's reusable device+GPU pair; nil builds
+	// a fresh pair for every runtime leg (the reference behaviour).
+	mach *machine
+}
+
+// machine is a device+GPU pair one fuzz worker reuses for every runtime leg
+// it evaluates, across cases and shrinker re-runs. driver.Device.Reset and
+// sim.GPU.Reset return both to their constructors' state, so a reused pair
+// behaves exactly as a fresh one; TestReusedMachineMatchesFresh holds that
+// against fresh construction, which stays the reference.
+type machine struct {
+	dev *driver.Device
+	gpu *sim.GPU
+}
+
+// acquire returns a device+GPU pair in the state driver.NewDevice(seed) and
+// a fresh GPU with the given watchdog give: the machine's pair reset in
+// place, or a newly built one on first use, after drop, or for a nil
+// machine.
+func (m *machine) acquire(seed int64, maxCycles uint64) (*driver.Device, *sim.GPU) {
+	if m != nil && m.gpu != nil {
+		m.dev.Reset(seed)
+		m.gpu.Reset()
+		m.gpu.SetMaxCycles(maxCycles)
+		return m.dev, m.gpu
+	}
+	cfg := sim.NvidiaConfig().WithShield(core.DefaultBCUConfig())
+	cfg.MaxCycles = maxCycles
+	dev := driver.NewDevice(seed)
+	gpu := sim.New(cfg, dev)
+	if m != nil {
+		m.dev, m.gpu = dev, gpu
+	}
+	return dev, gpu
+}
+
+// drop discards the pair after a contained panic: state a panic abandoned
+// mid-update is not trusted to Reset, so the next acquire builds afresh.
+func (m *machine) drop() {
+	if m != nil {
+		m.dev, m.gpu = nil, nil
+	}
 }
 
 func (o oracleOpts) normalized() oracleOpts {
@@ -118,6 +160,7 @@ func runCase(ctx context.Context, c *Case, opts oracleOpts) (findings []Finding)
 	}
 	defer func() {
 		if r := recover(); r != nil {
+			opts.mach.drop()
 			find(FindPanic, -1, -1, -1, "panic: %v", r)
 		}
 	}()
@@ -280,14 +323,12 @@ func launchInfo(c *Case, li int) compiler.LaunchInfo {
 	return info
 }
 
-// deviceRun is the shared launch path: fresh device + GPU, buffers
-// allocated in case order, launches run sequentially. It returns per-launch
-// stats and the prepared launches (for SkipCheck/Type3Instr/class bits).
+// deviceRun is the shared launch path: a device + GPU in their freshly
+// built state (opts.mach's pair, reset), buffers allocated in case order,
+// launches run sequentially. It returns per-launch stats and the prepared
+// launches (for SkipCheck/Type3Instr/class bits).
 func deviceRun(ctx context.Context, c *Case, kernels []*kernel.Kernel, analyses []*compiler.Analysis, mode driver.Mode, opts oracleOpts) ([]*sim.LaunchStats, []*driver.Launch, error) {
-	cfg := sim.NvidiaConfig().WithShield(core.DefaultBCUConfig())
-	cfg.MaxCycles = opts.MaxCycles
-	dev := driver.NewDevice(caseSeed(c.Seed, c.Index, uint64(0xD0+mode)))
-	gpu := sim.New(cfg, dev)
+	dev, gpu := opts.mach.acquire(caseSeed(c.Seed, c.Index, uint64(0xD0+mode)), opts.MaxCycles)
 
 	bufs := make([]*driver.Buffer, len(c.Bufs))
 	for i, spec := range c.Bufs {

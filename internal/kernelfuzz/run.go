@@ -72,12 +72,28 @@ func Run(ctx context.Context, opts Options) (*Report, error) {
 	opts = opts.normalized()
 	oOpts := oracleOpts{MaxCycles: opts.MaxCycles}
 
+	// One reusable machine per pool worker: a worker takes a parked one (or
+	// builds it) for each case and parks it again afterwards, so at most
+	// Parallel machines exist and the channel, buffered to that many, never
+	// blocks a park. Which worker's machine evaluates a case cannot show in
+	// its findings, because every leg resets the machine to its freshly
+	// built state.
+	machines := make(chan *machine, opts.Parallel)
 	cases := make([]*Case, opts.Count)
 	findings := make([][]Finding, opts.Count)
 	err := pool.ForEachErrCtx(ctx, opts.Parallel, opts.Count, func(i int) error {
+		var m *machine
+		select {
+		case m = <-machines:
+		default:
+			m = new(machine)
+		}
 		c := Generate(opts.Seed, i)
 		cases[i] = c
-		findings[i] = runCase(ctx, c, oOpts)
+		o := oOpts
+		o.mach = m
+		findings[i] = runCase(ctx, c, o)
+		machines <- m
 		return ctx.Err()
 	})
 	if err != nil {
@@ -103,7 +119,9 @@ func Run(ctx context.Context, opts Options) (*Report, error) {
 	}
 
 	// Shrink one reproducer per disagreeing case, sequentially (the list
-	// is normally empty; determinism beats parallelism here).
+	// is normally empty; determinism beats parallelism here), reusing one
+	// machine across every re-run.
+	oOpts.mach = new(machine)
 	for i, fs := range findings {
 		if len(fs) == 0 {
 			continue

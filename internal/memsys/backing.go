@@ -17,6 +17,11 @@ const chunkBytes = 1 << 12
 type Backing struct {
 	chunks map[uint64][]byte
 
+	// spare holds zeroed chunks parked by Reset; first touches take from it
+	// before allocating, so a reused store allocates only past the largest
+	// footprint it has held.
+	spare [][]byte
+
 	// One-entry chunk cache: functional memory traffic is heavily clustered
 	// (a warp's lanes touch neighbouring addresses), so the last chunk
 	// serves almost every access without a map lookup.
@@ -29,6 +34,22 @@ func NewBacking() *Backing {
 	return &Backing{chunks: make(map[uint64][]byte)}
 }
 
+// Reset empties the store: every address reads zero again, as in a store
+// fresh from NewBacking. The chunks are zeroed and parked for reuse rather
+// than freed.
+func (m *Backing) Reset() {
+	for _, c := range m.chunks {
+		clear(c)
+		m.spare = append(m.spare, c)
+	}
+	clear(m.chunks)
+	m.lastBase, m.lastChunk = 0, nil
+}
+
+// ChunkCounts reports how many chunks are materialized and how many zeroed
+// spares Reset has parked.
+func (m *Backing) ChunkCounts() (live, spare int) { return len(m.chunks), len(m.spare) }
+
 // chunk returns the backing chunk containing addr, materializing it on
 // first touch and refreshing the one-entry chunk cache.
 func (m *Backing) chunk(addr uint64) []byte {
@@ -38,7 +59,13 @@ func (m *Backing) chunk(addr uint64) []byte {
 	}
 	c, ok := m.chunks[base]
 	if !ok {
-		c = make([]byte, chunkBytes)
+		if n := len(m.spare); n > 0 {
+			c = m.spare[n-1]
+			m.spare[n-1] = nil
+			m.spare = m.spare[:n-1]
+		} else {
+			c = make([]byte, chunkBytes)
+		}
 		m.chunks[base] = c
 	}
 	m.lastBase, m.lastChunk = base, c

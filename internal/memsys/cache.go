@@ -89,5 +89,9 @@ func (c *Cache) Access(addr uint64) bool { return c.access(addr) }
 // Flush invalidates all lines (kernel termination / context switch).
 func (c *Cache) Flush() { c.flush() }
 
+// Reset returns the cache to the state NewCache gives: all lines invalid,
+// the LRU clock and Stats zeroed. Flush keeps both.
+func (c *Cache) Reset() { c.reset() }
+
 // HitLatency returns the configured hit latency in cycles.
 func (c *Cache) HitLatency() int { return c.cfg.HitLatency }

@@ -59,6 +59,15 @@ func NewDRAM(cfg DRAMConfig) *DRAM {
 	return d
 }
 
+// Reset returns the model to the state NewDRAM gives: every bank idle with
+// no open row, and Stats zeroed.
+func (d *DRAM) Reset() {
+	for _, ch := range d.banks {
+		clear(ch)
+	}
+	d.Stats = DRAMStats{}
+}
+
 // Config returns the DRAM geometry.
 func (d *DRAM) Config() DRAMConfig { return d.cfg }
 

@@ -150,3 +150,18 @@ func (s *tagStore) flush() {
 		}
 	}
 }
+
+// reset returns the store to its just-built state: every way invalid, the
+// LRU clock and statistics zeroed. Materialized pages are kept, zeroed
+// whole (tags and MRU hints included), so a reused store reads exactly as
+// a fresh one and re-touching a page allocates nothing.
+func (s *tagStore) reset() {
+	if s.useTick == 0 {
+		return // no access since the last reset: every page is still zero
+	}
+	for _, pg := range s.pages {
+		clear(pg)
+	}
+	s.useTick = 0
+	s.Stats = CacheStats{}
+}

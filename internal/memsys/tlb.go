@@ -59,3 +59,7 @@ func (t *TLB) Access(vaddr uint64) bool { return t.access(vaddr) }
 
 // Flush invalidates all entries.
 func (t *TLB) Flush() { t.flush() }
+
+// Reset returns the TLB to the state NewTLB gives: all entries invalid,
+// the LRU clock and Stats zeroed.
+func (t *TLB) Reset() { t.reset() }

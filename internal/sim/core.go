@@ -251,6 +251,21 @@ func (c *coreState) removeWorkgroup(wg *workgroup) {
 	c.gpu.dispatchNeeded = true
 }
 
+// reset returns the core to its just-built state for GPU.Reset: private L1D
+// and L1 TLB and the BCU empty with zeroed statistics, no resident
+// workgroups, and zeroed scheduler cursors and LSU clock.
+func (c *coreState) reset() {
+	c.l1d.Reset()
+	c.l1tlb.Reset()
+	if c.bcu != nil {
+		c.bcu.Reset()
+	}
+	clear(c.wgs)
+	clear(c.warps)
+	c.wgs, c.warps, c.sched = c.wgs[:0], c.warps[:0], c.sched[:0]
+	c.threadsUsed, c.lsuFreeAt, c.lastWarp, c.rrRun = 0, 0, 0, 0
+}
+
 // issuePick is the outcome of one scheduler scan: the chosen warp (w == nil
 // when nothing can issue this cycle) and the wake bookkeeping the scan
 // computed for free — the earliest future readyAt, or lsuFreeAt for a ready

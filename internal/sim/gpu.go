@@ -53,6 +53,10 @@ type GPU struct {
 	now        uint64
 	trackPages bool
 
+	// maxCycles0 is the constructor's watchdog budget. SetMaxCycles is the
+	// only mutator of cfg, so restoring it restores the constructor's cfg.
+	maxCycles0 uint64
+
 	// wakes tracks, per core, the earliest cycle at which that core might
 	// issue; the scheduling loop only visits cores whose wake time has
 	// arrived, and the next idle-skip target is the heap minimum. See
@@ -127,6 +131,7 @@ func NewGPU(cfg Config, dev *driver.Device) (*GPU, error) {
 		wakes:      newWakeHeap(cfg.Cores),
 		sbCache:    make(map[*kernel.Kernel][]int32),
 	}
+	g.maxCycles0 = cfg.MaxCycles
 	g.noSuperblocks = cfg.resolveNoSuperblocks()
 	g.noMemPlans = cfg.resolveNoMemPlans()
 	for op := range g.aluLat {
@@ -156,6 +161,31 @@ func New(cfg Config, dev *driver.Device) *GPU {
 		panic(err)
 	}
 	return g
+}
+
+// Reset returns the GPU to exactly the state its constructor gave, reusing
+// its allocations: the constructor's config (undoing SetMaxCycles), cycle
+// zero, no hooks, page tracking off, an empty superblock cache, every cache,
+// TLB and DRAM model empty with zeroed statistics and clocks, and every
+// core's BCU and scheduler state cleared. Recycled workgroup and run shells
+// stay parked; placement zeroes them on reuse. It does not reset the
+// device: pair it with driver.Device.Reset. It must not be called while a
+// run is in flight.
+func (g *GPU) Reset() {
+	g.cfg.MaxCycles = g.maxCycles0
+	g.now = 0
+	g.trackPages = false
+	g.wakes.restart()
+	g.dispatchNeeded = false
+	g.cycleHook, g.txFault = nil, nil
+	clear(g.atomicBusy)
+	clear(g.sbCache)
+	g.l2.Reset()
+	g.l2tlb.Reset()
+	g.dram.Reset()
+	for _, c := range g.cores {
+		c.reset()
+	}
 }
 
 // SetCycleHook installs (or clears, with nil) the per-step callback used by

@@ -224,3 +224,33 @@ func BenchmarkDeviceSetup(b *testing.B) {
 		New(NvidiaConfig(), dev)
 	}
 }
+
+// BenchmarkMachineReset measures the reused alternative to
+// BenchmarkDeviceSetup that the fuzzer takes for every runtime leg: after a
+// small shield-mode launch (untimed), one op resets the device and the
+// shielded Nvidia GPU to their constructors' state and re-creates the
+// default heap.
+func BenchmarkMachineReset(b *testing.B) {
+	cfg := NvidiaConfig().WithShield(core.DefaultBCUConfig())
+	dev := driver.NewDevice(0)
+	g := New(cfg, dev)
+	k := buildVecAdd(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		bufs := []*driver.Buffer{dev.Malloc("a", 1024, true), dev.Malloc("b", 1024, true), dev.Malloc("c", 1024, false)}
+		args := []driver.Arg{driver.BufArg(bufs[0]), driver.BufArg(bufs[1]), driver.BufArg(bufs[2]), driver.ScalarArg(256)}
+		l, err := dev.PrepareLaunch(k, 2, 128, args, driver.ModeShield, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := g.Run(l); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		dev.Reset(int64(i))
+		g.Reset()
+		dev.Heap()
+	}
+}

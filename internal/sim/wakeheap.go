@@ -42,6 +42,15 @@ func (h *wakeHeap) reset() {
 	h.dirty = false // all keys equal: any layout is a valid heap
 }
 
+// restart returns the heap to its just-built layout: every core parked at
+// farFuture, in core-id order.
+func (h *wakeHeap) restart() {
+	h.reset()
+	for i := range h.heap {
+		h.heap[i] = i
+	}
+}
+
 // at returns core's current wake time.
 func (h *wakeHeap) at(core int) uint64 { return h.wake[core] }
 
